@@ -29,8 +29,8 @@ cover:
 lint:
 	$(GO) run ./cmd/bplint -baseline lint/baseline.json ./...
 
-# lint-fix applies every mechanical suggested fix (deprecated-API
-# rewrites, stale-ignore deletions) in place, then reports what remains.
+# lint-fix applies every mechanical suggested fix (stale-ignore
+# deletions) in place, then reports what remains.
 lint-fix:
 	$(GO) run ./cmd/bplint -baseline lint/baseline.json -fix ./...
 

@@ -69,6 +69,11 @@ func benchTrace(b *testing.B, name string) *trace.Trace {
 	return tr
 }
 
+// simOne simulates one predictor over the trace with default options.
+func simOne(tr *trace.Trace, p bp.Predictor) *sim.Result {
+	return sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
+}
+
 // benchParallelConfig is the report configuration the parallel-runner
 // benchmarks regenerate end to end: four workloads (the hardest plus
 // three with different cost profiles) and a two-point Figure 5 sweep, so
@@ -314,22 +319,22 @@ func BenchmarkExtensionOnlineSelective(b *testing.B) {
 		b.Run("oracle-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
-				acc = sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3])).Accuracy()
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+				acc = simOne(tr, core.NewSelective("sel3", 16, sels.BySize[3])).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("online-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, core.NewOnlineSelective(3, 16, 256)).Accuracy()
+				acc = simOne(tr, core.NewOnlineSelective(3, 16, 256)).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("gshare-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(16)).Accuracy()
+				acc = simOne(tr, bp.NewGshare(16)).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -347,7 +352,7 @@ func BenchmarkExtensionContextSwitch(b *testing.B) {
 	mixed := trace.Interleave("gcc+perl", 5000, gcc, perl)
 	mixedFine := trace.Interleave("gcc+perl-fine", 250, gcc, perl)
 	accOn := func(p bp.Predictor, tr *trace.Trace, prefix trace.Addr) float64 {
-		res := sim.RunOne(tr, p)
+		res := simOne(tr, p)
 		correct, total := 0, 0
 		for pc, br := range res.PerBranch {
 			if pc&0xFF00_0000 == uint32HighBits(prefix) {
@@ -361,10 +366,10 @@ func BenchmarkExtensionContextSwitch(b *testing.B) {
 		name string
 		run  func() float64
 	}{
-		{"gshare-gcc-alone", func() float64 { return sim.RunOne(gcc, bp.NewGshare(14)).Accuracy() }},
+		{"gshare-gcc-alone", func() float64 { return simOne(gcc, bp.NewGshare(14)).Accuracy() }},
 		{"gshare-gcc-mixed-q5000", func() float64 { return accOn(bp.NewGshare(14), mixed, 0x0200_0000) }},
 		{"gshare-gcc-mixed-q250", func() float64 { return accOn(bp.NewGshare(14), mixedFine, 0x0200_0000) }},
-		{"ifgshare-gcc-alone", func() float64 { return sim.RunOne(gcc, bp.NewIFGshare(14)).Accuracy() }},
+		{"ifgshare-gcc-alone", func() float64 { return simOne(gcc, bp.NewIFGshare(14)).Accuracy() }},
 		{"ifgshare-gcc-mixed-q250", func() float64 { return accOn(bp.NewIFGshare(14), mixedFine, 0x0200_0000) }},
 	}
 	for _, c := range cases {
@@ -388,8 +393,8 @@ func BenchmarkAblationOracleTopK(b *testing.B) {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16, TopK: k})
-				r := sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16, TopK: k}})
+				r := simOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
 				acc = r.Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc-sel3")
@@ -415,8 +420,8 @@ func BenchmarkAblationTagSchemes(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				cfg := core.OracleConfig{WindowLen: 16, Schemes: c.schemes}
-				sels := core.BuildSelective(tr, cfg)
-				r := sim.RunOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
+				sels := core.Oracle(tr, core.OracleOptions{OracleConfig: cfg})
+				r := simOne(tr, core.NewSelective("sel3", 16, sels.BySize[3]))
 				acc = r.Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc-sel3")
@@ -433,7 +438,7 @@ func BenchmarkAblationGshareHistory(b *testing.B) {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(bits)).Accuracy()
+				acc = simOne(tr, bp.NewGshare(bits)).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -457,7 +462,7 @@ func BenchmarkAblationPathVsPattern(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = simOne(tr, c.mk()).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -482,7 +487,7 @@ func BenchmarkAblationLoopBTB(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = simOne(tr, c.mk()).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -499,14 +504,14 @@ func BenchmarkAblationStaticPHT(b *testing.B) {
 		b.Run("profiled-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewProfiledGshare(tr, 14)).Accuracy()
+				acc = simOne(tr, bp.NewProfiledGshare(tr, 14)).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
 		b.Run("adaptive-"+name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, bp.NewGshare(14)).Accuracy()
+				acc = simOne(tr, bp.NewGshare(14)).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -533,7 +538,7 @@ func BenchmarkAblationModern(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = sim.RunOne(tr, c.mk()).Accuracy()
+				acc = simOne(tr, c.mk()).Accuracy()
 			}
 			b.ReportMetric(100*acc, "%acc")
 		})
@@ -584,7 +589,7 @@ func BenchmarkPredictors(b *testing.B) {
 func BenchmarkSelectivePredictor(b *testing.B) {
 	tr := benchTrace(b, "gcc")
 	recs := tr.Records()
-	sels := core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
+	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 	p := core.NewSelective("sel3", 16, sels.BySize[3])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -599,7 +604,7 @@ func BenchmarkSelectivePredictor(b *testing.B) {
 func BenchmarkOraclePasses(b *testing.B) {
 	tr := benchTrace(b, "gcc")
 	for i := 0; i < b.N; i++ {
-		core.BuildSelective(tr, core.OracleConfig{WindowLen: 16})
+		core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
 	}
 	b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 }
@@ -663,7 +668,7 @@ func BenchmarkOracleProfile(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("len=%d/impl=kernel", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.ProfileCandidatesPacked(pt, cfg)
+				core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageProfile})
 			}
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 		})
@@ -679,7 +684,7 @@ func BenchmarkOracleJoint(b *testing.B) {
 	for _, n := range benchOracleLengths {
 		tr := benchTraceN(b, "gcc", n)
 		pt := trace.Pack(tr)
-		cands := core.ProfileCandidatesPacked(pt, cfg)
+		cands := core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageProfile}).Candidates
 		b.Run(fmt.Sprintf("len=%d/impl=ref", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.ReferenceSelectRefs(tr, cands, cfg)
@@ -688,7 +693,7 @@ func BenchmarkOracleJoint(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("len=%d/impl=kernel", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SelectRefsPacked(pt, cands, cfg)
+				core.Oracle(pt, core.OracleOptions{OracleConfig: cfg, Stage: core.StageSelect, Candidates: cands})
 			}
 			b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 		})
@@ -719,13 +724,13 @@ func BenchmarkSimPredictor(b *testing.B) {
 			name, _, _ := strings.Cut(spec, ":")
 			b.Run(fmt.Sprintf("pred=%s/len=%d/impl=ref", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sim.RunReference(tr, mk())
+					sim.Simulate(tr, []bp.Predictor{mk()}, sim.Options{ForceReference: true})
 				}
 				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 			})
 			b.Run(fmt.Sprintf("pred=%s/len=%d/impl=kernel", name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sim.Run(tr, mk())
+					sim.Simulate(tr, []bp.Predictor{mk()}, sim.Options{})
 				}
 				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
 			})
@@ -834,7 +839,7 @@ func BenchmarkSimSweep(b *testing.B) {
 			b.Run(fmt.Sprintf("grid=%s/len=%d/impl=independent", grid.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					for _, p := range grid.mk().Configs() {
-						sim.Run(tr, p)
+						sim.Simulate(tr, []bp.Predictor{p}, sim.Options{})
 					}
 				}
 				b.ReportMetric(float64(ncfg)*float64(tr.Len())*float64(b.N)/b.Elapsed().Seconds(), "branches/s")

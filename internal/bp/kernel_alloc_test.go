@@ -39,9 +39,9 @@ func TestKernelSimulateBlockAllocs(t *testing.T) {
 	correct := make([]int32, pt.NumBranches())
 	for _, f := range families {
 		t.Run(f.spec, func(t *testing.T) {
-			p, err := bp.ParseEnv(f.spec, bp.Env{Stats: stats})
+			p, err := bp.Parse(f.spec, bp.Env{Stats: stats})
 			if err != nil {
-				t.Fatalf("ParseEnv(%q): %v", f.spec, err)
+				t.Fatalf("Parse(%q): %v", f.spec, err)
 			}
 			k, ok := p.(bp.KernelPredictor)
 			if !ok {

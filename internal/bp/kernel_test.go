@@ -116,7 +116,7 @@ func TestKernelScalarConformance(t *testing.T) {
 	stats1 := trace.Summarize(kernelRandomTrace(11, 25_000))
 	kernelSpecs := 0
 	for _, spec := range bp.KnownSpecs() {
-		probe, err := bp.ParseEnv(spec, bp.Env{Stats: stats1})
+		probe, err := bp.Parse(spec, bp.Env{Stats: stats1})
 		if err != nil {
 			// Specs needing a profiling trace (profiled-gshare) are
 			// covered by the scalar conformance suite; none have kernels.
@@ -133,9 +133,9 @@ func TestKernelScalarConformance(t *testing.T) {
 				pt := tr.Packed()
 				stats := trace.Summarize(tr)
 				mk := func() bp.KernelPredictor {
-					p, err := bp.ParseEnv(spec, bp.Env{Stats: stats, Trace: tr})
+					p, err := bp.Parse(spec, bp.Env{Stats: stats, Trace: tr})
 					if err != nil {
-						t.Fatalf("ParseEnv(%q): %v", spec, err)
+						t.Fatalf("Parse(%q): %v", spec, err)
 					}
 					return p.(bp.KernelPredictor)
 				}
@@ -170,7 +170,7 @@ func TestKernelScalarInterleaving(t *testing.T) {
 		spec := spec
 		t.Run(spec, func(t *testing.T) {
 			mk := func() bp.KernelPredictor {
-				p, err := bp.ParseEnv(spec, bp.Env{Stats: stats})
+				p, err := bp.Parse(spec, bp.Env{Stats: stats})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -269,12 +269,6 @@ func Parse(spec string, env Env) (p Predictor, err error) {
 	}
 }
 
-// ParseEnv builds a predictor from a textual spec with explicit
-// profiling context.
-//
-// Deprecated: ParseEnv is the old name for Parse; call Parse directly.
-func ParseEnv(spec string, env Env) (Predictor, error) { return Parse(spec, env) }
-
 // ParseAll parses every spec in order, stopping at the first failure.
 // It is the shared helper behind the commands' repeatable -p flags.
 func ParseAll(specs []string, env Env) ([]Predictor, error) {

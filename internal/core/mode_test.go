@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/trace"
 )
@@ -37,7 +38,7 @@ func TestPresenceModeCapturesInPathCorrelation(t *testing.T) {
 	// path" and the presence signal washes out.
 	assign := Assignment{0x200: {Ref{0x150, Occurrence, 0}}}
 	pres := NewSelectiveMode("pres", 1, assign, ModePresence)
-	res := sim.RunOne(tr, pres)
+	res := sim.Simulate(tr, []bp.Predictor{pres}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x200).Accuracy(); acc < 0.99 {
 		t.Errorf("presence-mode accuracy on in-path-correlated branch = %.3f", acc)
 	}
@@ -51,7 +52,7 @@ func TestPresenceModeMissesDirectionCorrelation(t *testing.T) {
 	assign := Assignment{0x200: {Ref{0x100, Occurrence, 0}}}
 	dir := NewSelectiveMode("dir", 16, assign, ModeDirection)
 	pres := NewSelectiveMode("pres", 16, assign, ModePresence)
-	rs := sim.Run(tr, dir, pres)
+	rs := sim.Simulate(tr, []bp.Predictor{dir, pres}, sim.Options{}).Results
 	dAcc := rs[0].Branch(0x200).Accuracy()
 	pAcc := rs[1].Branch(0x200).Accuracy()
 	if dAcc < 0.99 {
@@ -66,10 +67,10 @@ func TestPresenceModeMissesDirectionCorrelation(t *testing.T) {
 // should not lose to presence mode beyond adaptive noise.
 func TestDirectionModeSubsumesPresence(t *testing.T) {
 	tr := correlatedPair(4000, 3)
-	sels := BuildSelective(tr, OracleConfig{WindowLen: 16})
+	sels := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
 	dir := NewSelectiveMode("dir", 16, sels.BySize[3], ModeDirection)
 	pres := NewSelectiveMode("pres", 16, sels.BySize[3], ModePresence)
-	rs := sim.Run(tr, dir, pres)
+	rs := sim.Simulate(tr, []bp.Predictor{dir, pres}, sim.Options{}).Results
 	if rs[0].Accuracy() < rs[1].Accuracy()-0.01 {
 		t.Errorf("direction mode (%.4f) lost to presence mode (%.4f)",
 			rs[0].Accuracy(), rs[1].Accuracy())

@@ -11,7 +11,7 @@ import (
 func TestOnlineSelectiveFindsCorrelation(t *testing.T) {
 	tr := correlatedPair(12000, 2)
 	p := NewOnlineSelective(1, 16, 256)
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x200).Accuracy(); acc < 0.95 {
 		t.Errorf("online selective on correlated branch = %.3f, want >= 0.95", acc)
 	}
@@ -28,7 +28,7 @@ func TestOnlineSelectiveAntiCorrelation(t *testing.T) {
 		tr.Append(rec(0x200, !y))
 	}
 	p := NewOnlineSelective(1, 16, 256)
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x200).Accuracy(); acc < 0.95 {
 		t.Errorf("online selective on anti-correlated branch = %.3f, want >= 0.95", acc)
 	}
@@ -45,7 +45,7 @@ func TestOnlineSelectiveTwoRefs(t *testing.T) {
 		tr.Append(rec(0x200, y && z))
 	}
 	p := NewOnlineSelective(2, 16, 256)
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x200).Accuracy(); acc < 0.93 {
 		t.Errorf("online 2-ref selective on AND branch = %.3f, want >= 0.93", acc)
 	}
@@ -61,7 +61,7 @@ func TestOnlineSelectiveBiasedFallback(t *testing.T) {
 		tr.Append(rec(0x400, i%20 != 19))
 	}
 	p := NewOnlineSelective(2, 16, 256)
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x400).Accuracy(); acc < 0.93 {
 		t.Errorf("online selective on biased branch = %.3f, want >= 0.93", acc)
 	}
@@ -69,8 +69,8 @@ func TestOnlineSelectiveBiasedFallback(t *testing.T) {
 
 func TestOnlineSelectiveDeterministic(t *testing.T) {
 	tr := correlatedPair(4000, 3)
-	a := sim.RunOne(tr, NewOnlineSelective(2, 16, 128))
-	b := sim.RunOne(tr, NewOnlineSelective(2, 16, 128))
+	a := sim.Simulate(tr, []bp.Predictor{NewOnlineSelective(2, 16, 128)}, sim.Options{}).Results[0]
+	b := sim.Simulate(tr, []bp.Predictor{NewOnlineSelective(2, 16, 128)}, sim.Options{}).Results[0]
 	if a.Correct != b.Correct {
 		t.Errorf("nondeterministic: %d vs %d", a.Correct, b.Correct)
 	}
@@ -80,11 +80,8 @@ func TestOnlineSelectiveVsOracle(t *testing.T) {
 	// On a cleanly correlated trace the online predictor should land
 	// within a few points of the oracle-selected one.
 	tr := correlatedPair(20000, 2)
-	sels := BuildSelective(tr, OracleConfig{WindowLen: 16})
-	rs := sim.Run(tr,
-		NewSelective("oracle", 16, sels.BySize[1]),
-		NewOnlineSelective(1, 16, 256),
-	)
+	sels := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
+	rs := sim.Simulate(tr, []bp.Predictor{NewSelective("oracle", 16, sels.BySize[1]), NewOnlineSelective(1, 16, 256)}, sim.Options{}).Results
 	oracleAcc, onlineAcc := rs[0].Accuracy(), rs[1].Accuracy()
 	if onlineAcc < oracleAcc-0.05 {
 		t.Errorf("online (%.4f) too far below oracle (%.4f)", onlineAcc, oracleAcc)
@@ -116,7 +113,7 @@ func TestOnlineSelectivePanics(t *testing.T) {
 func TestOnlineSelectiveInHybrid(t *testing.T) {
 	tr := correlatedPair(8000, 2)
 	h := bp.NewHybrid(NewOnlineSelective(1, 16, 256), bp.NewBimodal(12), 10)
-	res := sim.RunOne(tr, h)
+	res := sim.Simulate(tr, []bp.Predictor{h}, sim.Options{}).Results[0]
 	if acc := res.Branch(0x200).Accuracy(); acc < 0.9 {
 		t.Errorf("hybrid with online selective on correlated branch = %.4f", acc)
 	}

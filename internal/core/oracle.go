@@ -123,55 +123,3 @@ func subsetScore(flat []uint32) uint32 {
 	}
 	return score
 }
-
-// ProfileCandidates performs oracle pass 1: it streams the trace once,
-// counting for every static branch the joint distribution of each
-// candidate tagged instance's state with the branch's outcome, and
-// returns each branch's TopK candidates ranked by profile score.
-//
-// Deprecated: ProfileCandidates is Oracle with Stage: StageProfile
-// (project .Candidates); new code should call Oracle.
-func ProfileCandidates(t *trace.Trace, cfg OracleConfig) map[trace.Addr]*Candidates {
-	return profilePacked(trace.Pack(t), cfg)
-}
-
-// SelectRefs performs oracle passes 2 and 3: with each branch's TopK
-// candidates fixed, it first tabulates the exact joint distribution of
-// every candidate *pair* with the branch outcome (so purely interacting
-// correlations — e.g. branch X = Y AND Z of figure 1c, where neither Y
-// nor Z alone predicts X — are found as long as both components are in
-// the beam), picks the best pair, then greedily extends the best pair
-// with each remaining candidate to choose the best triple. This
-// approximates the paper's oracle choice of "the 1, 2 or 3 most important
-// branches" (section 3.4); the approximation is exact for sizes 1 and 2
-// within the beam.
-//
-// The columnar kernel folds the reference implementation's two
-// tabulation streams into a single trace pass that records one packed
-// state vector per dynamic instance, then scores all pairs and triples
-// from the per-branch instance matrices.
-//
-// Deprecated: SelectRefs is Oracle with Stage: StageSelect and
-// Options.Candidates; new code should call Oracle.
-func SelectRefs(t *trace.Trace, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	return selectPacked(trace.Pack(t), cands, cfg)
-}
-
-// BuildSelective is the full oracle pipeline: profile candidates, select
-// ref subsets, and return ready-to-run selective-history assignments for
-// sizes 1..MaxSelectiveRefs.
-//
-// Deprecated: BuildSelective is Oracle with zero OracleOptions; new
-// code should call Oracle.
-func BuildSelective(t *trace.Trace, cfg OracleConfig) *Selections {
-	return Oracle(t, OracleOptions{OracleConfig: cfg})
-}
-
-// BuildSelectivePacked is BuildSelective over a pre-built columnar trace
-// view, packing the trace exactly zero times.
-//
-// Deprecated: BuildSelectivePacked is Oracle with zero OracleOptions (a
-// *trace.Packed is a Source); new code should call Oracle.
-func BuildSelectivePacked(pt *trace.Packed, cfg OracleConfig) *Selections {
-	return Oracle(pt, OracleOptions{OracleConfig: cfg})
-}

@@ -7,13 +7,10 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// This file is the oracle's consolidated public API, mirroring the
-// sim.Simulate consolidation: the nine historical entry points
-// (ProfileCandidates/SelectRefs/BuildSelective, their Packed variants,
-// and their Blocks twins) collapse into two options-based calls —
-// Oracle for in-memory inputs and OracleBlocks for bounded-memory
-// streams. The old names remain as byte-identical deprecated wrappers;
-// the bplint dep-api rule migrates in-memory callers mechanically.
+// This file is the oracle's public API, mirroring sim.Simulate: one
+// options-based call, Oracle, over an in-memory source. Streaming is
+// offered for simulation only (sim.SimulateBlocks); the oracle always
+// runs over the packed columns.
 
 // Source is any in-memory input the oracle can run over. Both
 // *trace.Trace (whose Packed method memoizes the columnar view) and
@@ -57,8 +54,8 @@ func (s OracleStage) String() string {
 	return fmt.Sprintf("OracleStage(%d)", int(s))
 }
 
-// OracleOptions configures one Oracle or OracleBlocks run. The zero
-// value runs the full pipeline with OracleConfig defaults.
+// OracleOptions configures one Oracle run. The zero value runs the full
+// pipeline with OracleConfig defaults.
 type OracleOptions struct {
 	// OracleConfig carries the algorithmic knobs (WindowLen, TopK,
 	// MaxCandidates, Schemes, ScoreParallel, Obs), embedded so callers
@@ -72,21 +69,13 @@ type OracleOptions struct {
 	// candidates a prior StageProfile run produced with the same config
 	// over the same records. Ignored by the other stages.
 	Candidates map[trace.Addr]*Candidates
-
-	// Addrs is OracleBlocks' StageSelect intern table: the complete
-	// first-appearance address table of the stream (as produced by the
-	// profile pass over the same records), needed to build beam matchers
-	// before the stream replays. In-memory Oracle ignores it — the
-	// packed view carries its own table.
-	Addrs []trace.Addr
 }
 
 // Oracle runs the correlation oracle over an in-memory source in the
 // stage-selected configuration and returns the Selections. StageFull
 // and StageSelect fill Selections.BySize; StageProfile fills
 // Selections.Candidates. The work runs on the columnar kernels; results
-// are bit-identical at every ScoreParallel and identical to the
-// streaming path (OracleBlocks) on the same records.
+// are bit-identical at every ScoreParallel.
 func Oracle(src Source, opts OracleOptions) *Selections {
 	pt := src.Packed()
 	switch opts.Stage {
@@ -99,54 +88,6 @@ func Oracle(src Source, opts OracleOptions) *Selections {
 		reg.Counter("core.oracle.builds").Inc()
 		defer reg.StartSpan("core.oracle.build").End()
 		return selectPacked(pt, profilePacked(pt, opts.OracleConfig), opts.OracleConfig)
-	}
-	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
-}
-
-// OracleBlocks is Oracle over a streaming trace.BlockSource, in memory
-// bounded by the chunk size rather than the trace length, bit-identical
-// to Oracle on the equivalent in-memory trace. open must yield an
-// identical record stream on every call (e.g. re-open the same corpus
-// entry or trace file): StageFull opens twice — once per pass — and
-// relies on the first pass's intern table matching the re-opened
-// stream's dense IDs; the other stages open once.
-func OracleBlocks(open func() (trace.BlockSource, error), opts OracleOptions) (*Selections, error) {
-	cfg := opts.OracleConfig.withDefaults()
-	switch opts.Stage {
-	case StageProfile:
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		cands, _, err := profilePass(src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Selections{Candidates: cands}, nil
-	case StageSelect:
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		return selectBlocks(src, opts.Addrs, opts.Candidates, cfg)
-	case StageFull:
-		reg := obs.Or(cfg.Obs)
-		reg.Counter("core.oracle.builds").Inc()
-		defer reg.StartSpan("core.oracle.build").End()
-
-		src, err := open()
-		if err != nil {
-			return nil, err
-		}
-		cands, addrs, err := profilePass(src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		src, err = open()
-		if err != nil {
-			return nil, err
-		}
-		return selectBlocks(src, addrs, cands, cfg)
 	}
 	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 }

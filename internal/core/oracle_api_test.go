@@ -1,36 +1,29 @@
 package core
 
 import (
-	"bytes"
-	"errors"
-	"reflect"
 	"testing"
 
 	"branchcorr/internal/trace"
 )
 
-// The consolidated Oracle/OracleBlocks entry points must be bit-identical
-// to the nine named entry points they supersede — the wrappers are the
-// executable contract, so every stage is differentially pinned here.
+// Oracle is the oracle's one entry point; every stage is differentially
+// pinned here against the reference implementation (oracle_reference.go),
+// the executable specification of the columnar kernels.
 
 func TestOracleMatchesBuildSelective(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16}
-		want := BuildSelective(tr, cfg)
-		if got := Oracle(tr, OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Oracle(trace) differs from BuildSelective", tr.Name())
-		}
+		want := ReferenceBuildSelective(tr, cfg)
+		mustEqualSelections(t, Oracle(tr, OracleOptions{OracleConfig: cfg}), want)
 		// A *trace.Packed is a Source in its own right.
-		if got := Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg}); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Oracle(packed) differs from BuildSelective", tr.Name())
-		}
+		mustEqualSelections(t, Oracle(trace.Pack(tr), OracleOptions{OracleConfig: cfg}), want)
 	}
 }
 
 func TestOracleStageProfileMatchesProfileCandidates(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16, TopK: 8}
-		want := ProfileCandidates(tr, cfg)
+		want := ReferenceProfileCandidates(tr, cfg)
 		got := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 		if len(got.BySize[1]) != 0 {
 			t.Errorf("%s: StageProfile filled BySize", tr.Name())
@@ -43,11 +36,9 @@ func TestOracleStageSelectMatchesSelectRefs(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		cfg := OracleConfig{WindowLen: 16}
 		cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
-		want := SelectRefs(tr, cands, cfg)
+		want := ReferenceSelectRefs(tr, cands, cfg)
 		got := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands})
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: StageSelect differs from SelectRefs", tr.Name())
-		}
+		mustEqualSelections(t, got, want)
 	}
 }
 
@@ -60,69 +51,6 @@ func TestOracleStagedPipelineMatchesFull(t *testing.T) {
 	prof := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
 	got := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: prof.Candidates})
 	mustEqualSelections(t, got, want)
-}
-
-func TestOracleBlocksMatchesBlocksWrappers(t *testing.T) {
-	for _, tr := range differentialTraces() {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		open := func() (trace.BlockSource, error) {
-			return trace.ReadBlocks(bytes.NewReader(buf.Bytes()), 64)
-		}
-		cfg := OracleConfig{WindowLen: 16}
-
-		want, err := BuildSelectiveBlocks(open, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: OracleBlocks differs from BuildSelectiveBlocks", tr.Name())
-		}
-
-		src, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantCands, err := ProfileCandidatesBlocks(src, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := OracleBlocks(open, OracleOptions{OracleConfig: cfg, Stage: StageProfile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualCandidates(t, prof.Candidates, wantCands)
-
-		pt := trace.Pack(tr)
-		sel, err := OracleBlocks(open, OracleOptions{
-			OracleConfig: cfg,
-			Stage:        StageSelect,
-			Candidates:   prof.Candidates,
-			Addrs:        pt.Addrs(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualSelections(t, sel, want)
-	}
-}
-
-func TestOracleBlocksPropagatesOpenError(t *testing.T) {
-	errFailedOpen := errors.New("open failed")
-	openErr := func() (trace.BlockSource, error) {
-		return nil, errFailedOpen
-	}
-	for _, stage := range []OracleStage{StageFull, StageProfile, StageSelect} {
-		if _, err := OracleBlocks(openErr, OracleOptions{Stage: stage}); err != errFailedOpen {
-			t.Errorf("stage %v: got %v, want errFailedOpen", stage, err)
-		}
-	}
 }
 
 func TestOracleStageString(t *testing.T) {

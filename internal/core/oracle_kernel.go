@@ -90,17 +90,11 @@ type emitScratch struct {
 // counts and backward-segment dedup use epoch-stamped scratch indexed by
 // dense branch ID, so each window entry costs O(1) instead of a linear
 // scan over the PCs seen so far.
-//
-// The emitter works over raw packed columns, not a *trace.Packed: the
-// in-memory path hands it the full packed columns once, while the
-// streaming path (oracle_blocks.go) re-points it at a carry+chunk window
-// per block and grows the scratch as the intern table grows. Both paths
-// run the identical emit loop.
 type oracleEmitter struct {
 	n int // window length
 
-	ids   []int32  // dense-ID column currently in view
-	taken []uint64 // taken bitset, bit i = column record i
+	ids   []int32  // dense-ID column
+	taken []uint64 // taken bitset, bit i = record i
 	back  []uint64 // backward bitset
 
 	scratch []emitScratch // per dense ID
@@ -110,40 +104,19 @@ type oracleEmitter struct {
 	keys []uint64 // emitted packed ref keys | direction bit, Visit order
 }
 
-func newOracleEmitter(windowLen int) *oracleEmitter {
+// newPackedEmitter points a fresh emitter at a packed view's columns.
+func newPackedEmitter(pt *trace.Packed, windowLen int) *oracleEmitter {
 	if windowLen <= 0 {
 		panic(fmt.Sprintf("core: window length %d must be positive", windowLen))
 	}
 	return &oracleEmitter{
-		n:    windowLen,
-		keys: make([]uint64, 0, 2*windowLen),
+		n:       windowLen,
+		ids:     pt.IDs(),
+		taken:   pt.TakenWords(),
+		back:    pt.BackwardWords(),
+		scratch: make([]emitScratch, pt.NumBranches()),
+		keys:    make([]uint64, 0, 2*windowLen),
 	}
-}
-
-// newPackedEmitter points a fresh emitter at a packed view's full columns.
-func newPackedEmitter(pt *trace.Packed, windowLen int) *oracleEmitter {
-	e := newOracleEmitter(windowLen)
-	e.setColumns(pt.IDs(), pt.TakenWords(), pt.BackwardWords())
-	e.growScratch(pt.NumBranches())
-	return e
-}
-
-// setColumns re-points the emitter at a column view. Epoch stamps stay
-// valid across calls: scratch state is per-emit, never per-column.
-func (e *oracleEmitter) setColumns(ids []int32, taken, back []uint64) {
-	e.ids, e.taken, e.back = ids, taken, back
-}
-
-// growScratch extends the per-ID scratch to cover nb dense IDs; existing
-// stamps are preserved (they only compare against the current emit
-// generation, and zero never matches a positive generation).
-func (e *oracleEmitter) growScratch(nb int) {
-	if nb <= len(e.scratch) {
-		return
-	}
-	grown := make([]emitScratch, nb)
-	copy(grown, e.scratch)
-	e.scratch = grown
 }
 
 // taken1 reports column record p's direction.
@@ -328,14 +301,6 @@ func (p *kernelProfile) profileScore(e *candEntry) uint32 {
 	return score + max32(p.total[0]-presentT, p.total[1]-presentN)
 }
 
-// ProfileCandidatesPacked is oracle pass 1 over the columnar trace view.
-//
-// Deprecated: ProfileCandidatesPacked is Oracle with Stage: StageProfile
-// (project .Candidates); new code should call Oracle.
-func ProfileCandidatesPacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidates {
-	return profilePacked(pt, cfg)
-}
-
 // profilePacked is oracle pass 1 over the columnar trace view:
 // one stream, flat per-branch candidate tables, no closures and no
 // per-candidate allocations. It produces bit-identical results to
@@ -354,8 +319,7 @@ func profilePacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidate
 }
 
 // assembleCandidates turns pass 1's per-branch candidate tables into the
-// ranked Candidates map — the shared tail of the packed and streaming
-// profile entry points.
+// ranked Candidates map.
 func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg OracleConfig) map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
 	result := make(map[trace.Addr]*Candidates, len(profiles))
@@ -388,8 +352,7 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 // profileRange is pass 1's per-record loop over emitter column positions
 // [lo, hi): emit the window at every position and count each emitted
 // candidate into the branch's flat table, hand-inlining the table hit
-// path. The packed path runs it once over the whole column; the
-// streaming path runs it once per chunk with lo at the carry boundary.
+// path.
 //
 //bplint:hot
 func profileRange(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr, lo, hi int) {
@@ -463,9 +426,7 @@ type beamMatcher struct {
 }
 
 // newBeamMatcher builds a matcher for one branch's beam. idOf resolves a
-// PC to its dense ID in the trace's intern table (the packed path passes
-// pt.IDOf; the streaming path closes over the complete table produced by
-// the profile pass).
+// PC to its dense ID in the trace's intern table (Packed.IDOf).
 func newBeamMatcher(idOf func(trace.Addr) (int32, bool), refs []Ref, total int) *beamMatcher {
 	bm := &beamMatcher{k: len(refs), fullMask: uint32(1)<<uint(len(refs)) - 1}
 	for slot := 0; slot < len(refs); slot++ {
@@ -526,14 +487,6 @@ type branchSelection struct {
 	size1, size2, size3 []Ref
 }
 
-// SelectRefsPacked is oracle passes 2+3 over the columnar trace view.
-//
-// Deprecated: SelectRefsPacked is Oracle with Stage: StageSelect and
-// Options.Candidates; new code should call Oracle.
-func SelectRefsPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	return selectPacked(pt, cands, cfg)
-}
-
 // selectPacked is oracle passes 2+3 over the columnar trace view,
 // folded into a single collection stream plus an off-trace scoring
 // stage. For every dynamic instance of a branch with a non-empty beam it
@@ -592,8 +545,7 @@ func buildMatchers(pcs []trace.Addr, cands map[trace.Addr]*Candidates, nb int, i
 
 // scoreSelections runs the off-trace scoring stage — per-branch,
 // embarrassingly parallel, pre-assigned result slots — and assembles the
-// Selections. Shared tail of the packed and streaming select entry
-// points.
+// Selections.
 func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcherOf map[trace.Addr]*beamMatcher, cfg OracleConfig) *Selections {
 	results := make([]branchSelection, len(pcs))
 	cells := make([]runner.Cell, 0, len(pcs))

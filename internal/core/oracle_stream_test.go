@@ -5,34 +5,51 @@ import (
 	"fmt"
 	"testing"
 
+	"branchcorr/internal/corpus"
+	"branchcorr/internal/obs"
 	"branchcorr/internal/trace"
 )
 
-// Streamed-vs-packed differential tests: the oracle over a chunked
-// BlockSource — at chunk sizes straddling the window length and down to
-// one record per chunk — must be bit-identical to the packed in-memory
-// path, which is itself pinned against the reference implementation.
+// Chunked-input differential tests: a trace that reaches the oracle
+// through the chunked BPK1 corpus encoding — the path by which stored
+// and uploaded traces are loaded — must give bit-identical results to
+// the in-memory trace at every stored chunk size, including chunk sizes
+// straddling the window length and one record per chunk. The packed
+// in-memory path is itself pinned against the reference implementation.
 
 // streamChunks returns the adversarial chunk sizes for window length w:
-// single-record, window±1 (carry exactly full, one short, one over), and
-// a large chunk.
+// single-record, window±1, and a large chunk.
 func streamChunks(w int) []int {
 	return []int{1, w - 1, w, w + 1, 1000}
+}
+
+// chunked returns pt after a round trip through the BPK1 encoding at the
+// given chunk length.
+func chunked(t *testing.T, pt *trace.Packed, chunk int) *trace.Packed {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := corpus.Encode(&buf, pt, chunk); err != nil {
+		t.Fatal(err)
+	}
+	got, stored, err := corpus.Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored != chunk {
+		t.Fatalf("stored chunk length %d, want %d", stored, chunk)
+	}
+	return got
 }
 
 func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		pt := trace.Pack(tr)
 		for _, w := range []int{8, 16, 32} {
-			cfg := OracleConfig{WindowLen: w}
-			want := ProfileCandidatesPacked(pt, cfg)
+			opts := OracleOptions{OracleConfig: OracleConfig{WindowLen: w}, Stage: StageProfile}
+			want := Oracle(pt, opts).Candidates
 			for _, chunk := range streamChunks(w) {
 				t.Run(fmt.Sprintf("%s/w=%d/chunk=%d", tr.Name(), w, chunk), func(t *testing.T) {
-					got, err := ProfileCandidatesBlocks(pt.Blocks(chunk), cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustEqualCandidates(t, got, want)
+					mustEqualCandidates(t, Oracle(chunked(t, pt, chunk), opts).Candidates, want)
 				})
 			}
 		}
@@ -43,112 +60,66 @@ func TestSelectRefsBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
 		pt := trace.Pack(tr)
 		cfg := OracleConfig{WindowLen: 16}
-		cands := ProfileCandidatesPacked(pt, cfg)
-		want := SelectRefsPacked(pt, cands, cfg)
+		cands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+		opts := OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands}
+		want := Oracle(pt, opts)
 		for _, chunk := range streamChunks(16) {
-			got, err := SelectRefsBlocks(pt.Blocks(chunk), pt.Addrs(), cands, cfg)
-			if err != nil {
-				t.Fatalf("%s chunk %d: %v", tr.Name(), chunk, err)
-			}
-			mustEqualSelections(t, got, want)
+			mustEqualSelections(t, Oracle(chunked(t, pt, chunk), opts), want)
 		}
 	}
 }
 
-// TestBuildSelectiveBlocksFromDisk closes the full loop: encode to the
-// on-disk format, run both oracle passes through the streaming decoder
-// at small chunk sizes, compare against the in-memory pipeline.
+// TestBuildSelectiveBlocksFromDisk closes the full loop: store the trace
+// in an on-disk corpus, load it back, and run the full pipeline.
 func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
-	for _, tr := range differentialTraces() {
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Fatal(err)
-		}
-		cfg := OracleConfig{WindowLen: 16}
-		want := BuildSelectivePacked(trace.Pack(tr), cfg)
-		for _, chunk := range []int{1, 17, 256} {
-			got, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
-				return trace.ReadBlocks(bytes.NewReader(buf.Bytes()), chunk)
-			}, cfg)
-			if err != nil {
-				t.Fatalf("%s chunk %d: %v", tr.Name(), chunk, err)
-			}
-			mustEqualSelections(t, got, want)
-		}
-	}
-}
-
-// TestStreamDifferentialPrunePressure drives the streamed profile pass
-// through repeated watermark prunes (tiny MaxCandidates), where any
-// divergence in emission order across chunk boundaries would change
-// which candidates are evicted.
-func TestStreamDifferentialPrunePressure(t *testing.T) {
-	tr := randomTrace(9, 800, 30)
-	pt := trace.Pack(tr)
-	cfg := OracleConfig{WindowLen: 32, MaxCandidates: 8}
-	want := ProfileCandidatesPacked(pt, cfg)
-	for _, chunk := range []int{1, 31, 33, 777} {
-		got, err := ProfileCandidatesBlocks(pt.Blocks(chunk), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualCandidates(t, got, want)
-	}
-}
-
-// TestStreamDifferentialSchemes checks scheme filtering through the
-// streamed pipeline.
-func TestStreamDifferentialSchemes(t *testing.T) {
-	tr := randomTrace(7, 500, 10)
-	pt := trace.Pack(tr)
-	for _, schemes := range [][]Scheme{{Occurrence}, {BackwardCount}} {
-		cfg := OracleConfig{Schemes: schemes}
-		want := BuildSelectivePacked(pt, cfg)
-		got, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
-			return pt.Blocks(37), nil
-		}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualSelections(t, got, want)
-	}
-}
-
-// TestOracleBlocksTruncatedSource surfaces decoder errors from either
-// pass instead of returning a result built from a partial stream.
-func TestOracleBlocksTruncatedSource(t *testing.T) {
-	tr := randomTrace(3, 600, 8)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()[:buf.Len()/2]
-	src, err := trace.ReadBlocks(bytes.NewReader(data), 64)
+	st, err := corpus.Open(t.TempDir(), obs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ProfileCandidatesBlocks(src, OracleConfig{}); err == nil {
-		t.Error("profile over truncated stream should fail")
+	for _, tr := range differentialTraces() {
+		cfg := OracleConfig{WindowLen: 16}
+		want := Oracle(tr, OracleOptions{OracleConfig: cfg})
+		key := corpus.Key(tr.Name(), tr.Len(), "test")
+		if err := st.PutPacked(key, trace.Pack(tr)); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := st.LoadTrace(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustEqualSelections(t, Oracle(loaded, OracleOptions{OracleConfig: cfg}), want)
 	}
-	if _, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
-		return trace.ReadBlocks(bytes.NewReader(data), 64)
-	}, OracleConfig{}); err == nil {
-		t.Error("build over truncated stream should fail")
+}
+
+// TestStreamDifferentialPrunePressure drives the profile pass through
+// repeated watermark prunes (tiny MaxCandidates), where any divergence
+// in the decoded record order would change which candidates are
+// evicted.
+func TestStreamDifferentialPrunePressure(t *testing.T) {
+	pt := trace.Pack(randomTrace(9, 800, 30))
+	opts := OracleOptions{OracleConfig: OracleConfig{WindowLen: 32, MaxCandidates: 8}, Stage: StageProfile}
+	want := Oracle(pt, opts).Candidates
+	for _, chunk := range []int{1, 31, 33, 777} {
+		mustEqualCandidates(t, Oracle(chunked(t, pt, chunk), opts).Candidates, want)
+	}
+}
+
+// TestStreamDifferentialSchemes checks scheme filtering over chunked
+// input.
+func TestStreamDifferentialSchemes(t *testing.T) {
+	pt := trace.Pack(randomTrace(7, 500, 10))
+	for _, schemes := range [][]Scheme{{Occurrence}, {BackwardCount}} {
+		opts := OracleOptions{OracleConfig: OracleConfig{Schemes: schemes}}
+		mustEqualSelections(t, Oracle(chunked(t, pt, 37), opts), Oracle(pt, opts))
 	}
 }
 
 func TestOracleBlocksEmptyTrace(t *testing.T) {
-	pt := trace.Pack(trace.New("empty", 0))
-	cands, err := ProfileCandidatesBlocks(pt.Blocks(8), OracleConfig{})
-	if err != nil || len(cands) != 0 {
-		t.Fatalf("empty profile: %v, %d candidates", err, len(cands))
+	pt := chunked(t, trace.Pack(trace.New("empty", 0)), 8)
+	if cands := Oracle(pt, OracleOptions{Stage: StageProfile}).Candidates; len(cands) != 0 {
+		t.Fatalf("empty profile: %d candidates", len(cands))
 	}
-	sel, err := BuildSelectiveBlocks(func() (trace.BlockSource, error) {
-		return pt.Blocks(8), nil
-	}, OracleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sel := Oracle(pt, OracleOptions{})
 	for k := 1; k <= MaxSelectiveRefs; k++ {
 		if len(sel.BySize[k]) != 0 {
 			t.Errorf("empty trace produced size-%d assignments", k)

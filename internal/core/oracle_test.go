@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/trace"
 )
@@ -21,7 +22,7 @@ func TestSelectionsAreMonotone(t *testing.T) {
 	// size-k choice; spot-check sizes on a correlated trace by comparing
 	// assignment sizes.
 	tr := correlatedPair(2000, 2)
-	sel := BuildSelective(tr, OracleConfig{WindowLen: 16, TopK: 8})
+	sel := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16, TopK: 8}})
 	for pc := range sel.BySize[1] {
 		n1, n2, n3 := len(sel.BySize[1][pc]), len(sel.BySize[2][pc]), len(sel.BySize[3][pc])
 		if n1 > 1 || n2 > 2 || n3 > 3 {
@@ -35,7 +36,7 @@ func TestSelectionsAreMonotone(t *testing.T) {
 
 func TestProfileCandidatesFindsCorrelatedBranch(t *testing.T) {
 	tr := correlatedPair(3000, 3)
-	cands := ProfileCandidates(tr, OracleConfig{WindowLen: 16})
+	cands := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}, Stage: StageProfile}).Candidates
 	c := cands[0x200]
 	if c == nil || len(c.Refs) == 0 {
 		t.Fatal("no candidates for X")
@@ -55,7 +56,7 @@ func TestProfileCandidatesFindsCorrelatedBranch(t *testing.T) {
 
 func TestProfileCandidatesSchemeFilter(t *testing.T) {
 	tr := correlatedPair(500, 1)
-	cands := ProfileCandidates(tr, OracleConfig{WindowLen: 8, TopK: 8, Schemes: []Scheme{BackwardCount}})
+	cands := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 8, TopK: 8, Schemes: []Scheme{BackwardCount}}, Stage: StageProfile}).Candidates
 	for _, c := range cands {
 		for _, r := range c.Refs {
 			if r.Scheme != BackwardCount {
@@ -67,7 +68,7 @@ func TestProfileCandidatesSchemeFilter(t *testing.T) {
 
 func TestBuildSelectiveEndToEnd(t *testing.T) {
 	tr := correlatedPair(4000, 3)
-	sel := BuildSelective(tr, OracleConfig{WindowLen: 16})
+	sel := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
 	for k := 1; k <= MaxSelectiveRefs; k++ {
 		refs := sel.BySize[k][0x200]
 		if len(refs) == 0 {
@@ -77,7 +78,7 @@ func TestBuildSelectiveEndToEnd(t *testing.T) {
 			t.Fatalf("size %d: %d refs chosen", k, len(refs))
 		}
 		p := NewSelective("sel", 16, sel.BySize[k])
-		res := sim.RunOne(tr, p)
+		res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 		if acc := res.Branch(0x200).Accuracy(); acc < 0.99 {
 			t.Errorf("size %d: oracle-selected accuracy on X = %.3f", k, acc)
 		}
@@ -95,7 +96,7 @@ func TestOracleAndCorrelationNeedsTwoRefs(t *testing.T) {
 		tr.Append(rec(0x104, z))
 		tr.Append(rec(0x200, y && z))
 	}
-	sel := BuildSelective(tr, OracleConfig{WindowLen: 16})
+	sel := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
 	refs2 := sel.BySize[2][0x200]
 	pcs := map[trace.Addr]bool{}
 	for _, r := range refs2 {
@@ -105,7 +106,7 @@ func TestOracleAndCorrelationNeedsTwoRefs(t *testing.T) {
 		t.Errorf("2-ref selection = %v, want refs to 0x100 and 0x104", refs2)
 	}
 	acc := func(k int) float64 {
-		res := sim.RunOne(tr, NewSelective("s", 16, sel.BySize[k]))
+		res := sim.Simulate(tr, []bp.Predictor{NewSelective("s", 16, sel.BySize[k])}, sim.Options{}).Results[0]
 		return res.Branch(0x200).Accuracy()
 	}
 	a1, a2 := acc(1), acc(2)
@@ -131,10 +132,10 @@ func TestOracleMonotoneInSize(t *testing.T) {
 		tr.Append(rec(0x108, rn.bit()))
 		tr.Append(rec(0x200, y != z)) // XOR: needs both
 	}
-	sel := BuildSelective(tr, OracleConfig{WindowLen: 16})
+	sel := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 16}})
 	var accs [4]float64
 	for k := 1; k <= 3; k++ {
-		res := sim.RunOne(tr, NewSelective("s", 16, sel.BySize[k]))
+		res := sim.Simulate(tr, []bp.Predictor{NewSelective("s", 16, sel.BySize[k])}, sim.Options{}).Results[0]
 		accs[k] = res.Branch(0x200).Accuracy()
 	}
 	if accs[2] < 0.99 || accs[3] < 0.99 {
@@ -165,7 +166,7 @@ func TestOracleTopKLimit(t *testing.T) {
 			t.Error("TopK beyond the scratch limit should panic")
 		}
 	}()
-	ProfileCandidates(trace.New("x", 0), OracleConfig{TopK: maxTopK + 1})
+	Oracle(trace.New("x", 0), OracleOptions{OracleConfig: OracleConfig{TopK: maxTopK + 1}, Stage: StageProfile})
 }
 
 func TestCandidatePruning(t *testing.T) {
@@ -182,7 +183,7 @@ func TestCandidatePruning(t *testing.T) {
 		pc += 4
 		tr.Append(rec(0x200, y))
 	}
-	cands := ProfileCandidates(tr, OracleConfig{WindowLen: 8, TopK: 2, MaxCandidates: 64})
+	cands := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 8, TopK: 2, MaxCandidates: 64}, Stage: StageProfile}).Candidates
 	c := cands[0x200]
 	if c == nil || len(c.Refs) == 0 || c.Refs[0].PC != 0x100 {
 		t.Fatalf("pruned profile lost the correlated branch: %+v", c)
@@ -194,7 +195,7 @@ func TestProfileScoreBounds(t *testing.T) {
 	// total occurrences and at least the ideal-static correct count is a
 	// lower bound for the TOP candidate (3-valued info can only help).
 	tr := correlatedPair(1000, 2)
-	cands := ProfileCandidates(tr, OracleConfig{WindowLen: 8, TopK: 8})
+	cands := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{WindowLen: 8, TopK: 8}, Stage: StageProfile}).Candidates
 	st := trace.Summarize(tr)
 	for pc, c := range cands {
 		site := st.Sites[pc]

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/trace"
 )
@@ -35,7 +36,7 @@ func correlatedPair(n, gap int) *trace.Trace {
 
 func accuracyOn(t *testing.T, tr *trace.Trace, p *Selective, pc trace.Addr, skip int) float64 {
 	t.Helper()
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	b := res.Branch(pc)
 	if b.Total == 0 {
 		t.Fatalf("branch 0x%x never executed", uint32(pc))
@@ -70,7 +71,7 @@ func TestSelectiveEmptyAssignmentIsPerBranchCounter(t *testing.T) {
 		tr.Append(rec(0x40, true))
 	}
 	p := NewSelective("sel0", 16, Assignment{})
-	res := sim.RunOne(tr, p)
+	res := sim.Simulate(tr, []bp.Predictor{p}, sim.Options{}).Results[0]
 	if res.Correct < 997 {
 		t.Errorf("empty-assignment selective correct = %d/1000", res.Correct)
 	}

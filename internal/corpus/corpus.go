@@ -94,52 +94,6 @@ func (s *Store) LoadTrace(key string) (*trace.Trace, error) {
 	return trace.FromPacked(pt), nil
 }
 
-// FileSource streams a stored entry's chunks as a trace.BlockSource,
-// closing the underlying file when the stream ends (normally or on
-// error). Close is idempotent and only needed when a consumer abandons
-// the stream early.
-type FileSource struct {
-	*Reader
-	f *os.File
-}
-
-// Next yields the next chunk, releasing the file handle at end of
-// stream.
-func (fs *FileSource) Next() (trace.Block, bool) {
-	blk, ok := fs.Reader.Next()
-	if !ok {
-		if cerr := fs.Close(); cerr != nil && fs.Reader.err == nil {
-			fs.Reader.err = cerr
-		}
-	}
-	return blk, ok
-}
-
-// Close releases the underlying file.
-func (fs *FileSource) Close() error {
-	if fs.f == nil {
-		return nil
-	}
-	err := fs.f.Close()
-	fs.f = nil
-	return err
-}
-
-// OpenBlocks opens the entry for key as a bounded-memory block stream,
-// chunked exactly as stored.
-func (s *Store) OpenBlocks(key string) (*FileSource, error) {
-	f, err := os.Open(s.Path(key))
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	r, err := NewReader(f)
-	if err != nil {
-		_ = f.Close() // the header error is the one worth reporting
-		return nil, err
-	}
-	return &FileSource{Reader: r, f: f}, nil
-}
-
 // GetTrace returns the trace for key, loading it from the store on a
 // hit (corpus.hits) and otherwise generating, storing, and returning it
 // (corpus.misses). A present-but-undecodable entry counts corpus.errors

@@ -130,9 +130,9 @@ func TestGetTraceCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestOpenBlocksStreams: the streamed chunks reconstruct the stored
-// records exactly and drive the streaming simulator to the in-memory
-// result.
+// TestOpenBlocksStreams: a stored entry opened as a chunk stream
+// (NewReader over the entry's file) drives the streaming simulator to
+// the in-memory result.
 func TestOpenBlocksStreams(t *testing.T) {
 	st, err := Open(t.TempDir(), obs.New())
 	if err != nil {
@@ -147,7 +147,12 @@ func TestOpenBlocksStreams(t *testing.T) {
 	if err := st.PutPacked(key, tr.Packed()); err != nil {
 		t.Fatal(err)
 	}
-	src, err := st.OpenBlocks(key)
+	f, err := os.Open(st.Path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +265,10 @@ func TestDecodeHugeClaimsBounded(t *testing.T) {
 	u32(formatVersion)
 	u32(1)
 	b.WriteByte('h')
-	u64(1 << 62)  // records
-	u64(1 << 61)  // branches
-	u32(1 << 20)  // chunk length
-	u32(1 << 31)  // chunk count (fails consistency anyway; belt and braces)
+	u64(1 << 62) // records
+	u64(1 << 61) // branches
+	u32(1 << 20) // chunk length
+	u32(1 << 31) // chunk count (fails consistency anyway; belt and braces)
 	if _, _, err := Decode(bytes.NewReader(b.Bytes())); err == nil {
 		t.Fatal("decoder accepted exabyte-scale header on a 41-byte input")
 	}

@@ -35,7 +35,8 @@ func NewBaseline(findings []Finding, root string) *Baseline {
 	for _, f := range findings {
 		counts[baselineKey{relPath(root, f.Pos.Filename), f.Rule, f.Msg}]++
 	}
-	b := &Baseline{Version: 1}
+	// A clean tree saves as "findings": [], not null.
+	b := &Baseline{Version: 1, Findings: []BaselineEntry{}}
 	for k, n := range counts {
 		b.Findings = append(b.Findings, BaselineEntry{File: k.file, Rule: k.rule, Msg: k.msg, Count: n})
 	}

@@ -4,24 +4,18 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strconv"
-	"strings"
 )
 
 // depAPIRule (dep-api) flags internal uses of Deprecated:-marked module
-// symbols — the sim.Run* convenience wrappers superseded by
-// sim.Simulate(trace, predictors, Options) and the oracle entry-point
-// family superseded by core.Oracle(src, OracleOptions) — so migrations
-// finish instead of fossilizing. For both wrapper families the rule
-// attaches a mechanical fix (applied by bplint -fix) that rewrites the
-// call to the equivalent options form; other deprecated uses get a
-// plain finding. Uses inside the deprecated declarations themselves are
-// exempt (the wrappers must keep compiling until deleted).
+// symbols, so migrations finish instead of fossilizing: every call to
+// or other use of a deprecated function, type or variable is a finding.
+// Uses inside the deprecated declarations themselves are exempt (a
+// wrapper must keep compiling until it is deleted).
 type depAPIRule struct{}
 
 func (depAPIRule) ID() string { return "dep-api" }
 func (depAPIRule) Doc() string {
-	return "no internal callers of Deprecated:-marked symbols (sim.Run* → sim.Simulate and core oracle wrappers → core.Oracle are auto-fixable)"
+	return "no internal callers of Deprecated:-marked symbols"
 }
 
 // Check is unused; dep-api is a module rule.
@@ -72,13 +66,11 @@ func (r depAPIRule) checkFile(m *Module, pkg *Package, file *ast.File) []Finding
 				return true
 			}
 			handled[id] = true
-			f := Finding{
+			out = append(out, Finding{
 				Pos:  pkg.Fset.Position(v.Pos()),
 				Rule: "dep-api",
 				Msg:  fmt.Sprintf("call to deprecated %s", qualifiedName(fn)),
-			}
-			f.Fix = buildDepFix(m, pkg, file, v, fn)
-			out = append(out, f)
+			})
 		case *ast.Ident:
 			if exempt[v] || handled[v] {
 				return true
@@ -117,220 +109,4 @@ func qualifiedName(obj types.Object) string {
 		return obj.Name()
 	}
 	return obj.Pkg().Name() + "." + obj.Name()
-}
-
-// depRewrite describes the Simulate-form equivalent of one deprecated
-// wrapper: which Options fields to set, which Outcome field to project,
-// and whether the wrapper's second argument is the bucket size.
-type depRewrite struct {
-	target    string // replacement function name ("Simulate")
-	options   string // Options literal body, e.g. "ForceReference: true"
-	suffix    string // projection appended to the call, e.g. ".Results"
-	bucketArg bool   // args[1] is RunTimeline's bucketSize
-	single    bool   // args[1] is a single predictor, not variadic
-}
-
-// depRewrites is the mechanical-migration registry, keyed by the
-// deprecated function's package-qualified name.
-var depRewrites = map[string]depRewrite{
-	"sim.Run":           {target: "Simulate", suffix: ".Results"},
-	"sim.RunReference":  {target: "Simulate", options: "ForceReference: true", suffix: ".Results"},
-	"sim.RunOne":        {target: "Simulate", suffix: ".Results[0]", single: true},
-	"sim.RunTimeline":   {target: "Simulate", suffix: ".Timelines", bucketArg: true},
-	"sim.RunConcurrent": {target: "Simulate", options: "Parallel: -1", suffix: ".Results"},
-	// RunStream's (results, error) shape has no expression-level
-	// equivalent; it is reported without a fix.
-}
-
-// parseRenames maps deprecated one-argument wrappers to their drop-in
-// replacement name in the same package.
-var parseRenames = map[string]string{
-	"bp.ParseEnv": "Parse",
-}
-
-// oracleRewrite describes the core.Oracle-form equivalent of one
-// deprecated oracle wrapper: which Stage to select, whether the call
-// threads a candidates argument (always args[1]), and which field to
-// project from the returned Selections.
-type oracleRewrite struct {
-	stage  string // OracleOptions.Stage constant name, "" for StageFull
-	cands  bool   // args[1] is the candidates map (Options.Candidates)
-	suffix string // projection appended to the call, e.g. ".Candidates"
-}
-
-// oracleRewrites is the oracle family's mechanical-migration registry,
-// keyed by the deprecated function's package-qualified name. The Trace
-// and Packed variants share one rewrite because both argument types
-// satisfy core.Source. The *Blocks trio's (Selections, error) shapes
-// have no expression-level equivalent and are reported without a fix.
-var oracleRewrites = map[string]oracleRewrite{
-	"core.ProfileCandidates":       {stage: "StageProfile", suffix: ".Candidates"},
-	"core.ProfileCandidatesPacked": {stage: "StageProfile", suffix: ".Candidates"},
-	"core.SelectRefs":              {stage: "StageSelect", cands: true},
-	"core.SelectRefsPacked":        {stage: "StageSelect", cands: true},
-	"core.BuildSelective":          {},
-	"core.BuildSelectivePacked":    {},
-}
-
-// buildDepFix constructs the textual rewrite for one deprecated call, or
-// nil when no mechanical fix applies.
-func buildDepFix(m *Module, pkg *Package, file *ast.File, call *ast.CallExpr, fn *types.Func) *Fix {
-	key := qualifiedName(fn)
-	pos := pkg.Fset.Position(call.Pos())
-	src, err := m.Source(pos.Filename)
-	if err != nil {
-		return nil
-	}
-	text := func(n ast.Node) string {
-		lo := pkg.Fset.Position(n.Pos()).Offset
-		hi := pkg.Fset.Position(n.End()).Offset
-		if lo < 0 || hi > len(src) || lo > hi {
-			return ""
-		}
-		return string(src[lo:hi])
-	}
-
-	if newName := parseRenames[key]; newName != "" {
-		id := calleeIdent(call.Fun)
-		lo := pkg.Fset.Position(id.Pos()).Offset
-		hi := pkg.Fset.Position(id.End()).Offset
-		return &Fix{File: pos.Filename, Edits: []Edit{{Off: lo, End: hi, New: newName}}}
-	}
-
-	if orw, ok := oracleRewrites[key]; ok {
-		// Qualifier as written at the call site ("core." or "" in-package).
-		qual := ""
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			qual = text(sel.X) + "."
-		}
-		args := call.Args
-		want := 2 // (src, cfg)
-		if orw.cands {
-			want = 3 // (src, cands, cfg)
-		}
-		if len(args) != want {
-			return nil
-		}
-		fields := "OracleConfig: " + text(args[len(args)-1])
-		if orw.stage != "" {
-			fields += ", Stage: " + qual + orw.stage
-		}
-		if orw.cands {
-			fields += ", Candidates: " + text(args[1])
-		}
-		repl := fmt.Sprintf("%sOracle(%s, %sOracleOptions{%s})%s",
-			qual, text(args[0]), qual, fields, orw.suffix)
-		lo := pkg.Fset.Position(call.Pos()).Offset
-		hi := pkg.Fset.Position(call.End()).Offset
-		return &Fix{File: pos.Filename, Edits: []Edit{{Off: lo, End: hi, New: repl}}}
-	}
-
-	rw, ok := depRewrites[key]
-	if !ok {
-		return nil
-	}
-	// Qualifier as written at the call site ("sim." or "" in-package).
-	qual := ""
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		qual = text(sel.X) + "."
-	}
-
-	args := call.Args
-	if len(args) < 1 {
-		return nil
-	}
-	traceArg := text(args[0])
-	rest := args[1:]
-	options := rw.options
-	if rw.bucketArg {
-		if len(rest) < 1 {
-			return nil
-		}
-		options = "BucketSize: " + text(rest[0])
-		rest = rest[1:]
-	}
-
-	var preds string
-	switch {
-	case rw.single:
-		if len(rest) != 1 {
-			return nil
-		}
-		elem := predictorElemType(pkg, file, fn)
-		if elem == "" {
-			return nil
-		}
-		preds = "[]" + elem + "{" + text(rest[0]) + "}"
-	case call.Ellipsis.IsValid():
-		if len(rest) != 1 {
-			return nil
-		}
-		preds = text(rest[0])
-	default:
-		elem := predictorElemType(pkg, file, fn)
-		if elem == "" {
-			return nil
-		}
-		var parts []string
-		for _, a := range rest {
-			parts = append(parts, text(a))
-		}
-		preds = "[]" + elem + "{" + strings.Join(parts, ", ") + "}"
-	}
-
-	repl := fmt.Sprintf("%s%s(%s, %s, %sOptions{%s})%s",
-		qual, rw.target, traceArg, preds, qual, options, rw.suffix)
-	lo := pkg.Fset.Position(call.Pos()).Offset
-	hi := pkg.Fset.Position(call.End()).Offset
-	return &Fix{File: pos.Filename, Edits: []Edit{{Off: lo, End: hi, New: repl}}}
-}
-
-// predictorElemType renders the element type of fn's trailing
-// slice/variadic parameter as it must be written in file — e.g.
-// "bp.Predictor" — resolving the package qualifier through the file's
-// imports. It returns "" when the file cannot name the type (no import).
-func predictorElemType(pkg *Package, file *ast.File, fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() == 0 {
-		return ""
-	}
-	last := sig.Params().At(sig.Params().Len() - 1).Type()
-	var elem types.Type
-	if sl, ok := last.Underlying().(*types.Slice); ok {
-		elem = sl.Elem()
-	} else {
-		elem = last // RunOne: the parameter is the element type itself
-	}
-	named, ok := elem.(*types.Named)
-	if !ok {
-		return ""
-	}
-	tpkg := named.Obj().Pkg()
-	if tpkg == nil || tpkg == pkg.Types {
-		return named.Obj().Name()
-	}
-	local := importNameFor(file, tpkg)
-	if local == "" {
-		return ""
-	}
-	return local + "." + named.Obj().Name()
-}
-
-// importNameFor returns the name under which file refers to tpkg, or ""
-// when the file does not import it (or dot-imports it).
-func importNameFor(file *ast.File, tpkg *types.Package) string {
-	for _, spec := range file.Imports {
-		path, err := strconv.Unquote(spec.Path.Value)
-		if err != nil || path != tpkg.Path() {
-			continue
-		}
-		if spec.Name != nil {
-			if spec.Name.Name == "." || spec.Name.Name == "_" {
-				return ""
-			}
-			return spec.Name.Name
-		}
-		return tpkg.Name()
-	}
-	return ""
 }

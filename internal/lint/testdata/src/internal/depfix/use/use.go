@@ -1,7 +1,7 @@
-// Package use calls the deprecated wrapper family; every call line must
-// be flagged by dep-api, and -fix must rewrite each call (the bare
-// function-value reference and the deprecated type use have no
-// mechanical fix and survive as findings).
+// Package use calls the deprecated wrapper family; every use must be
+// flagged by dep-api, whether a call, a bare function-value reference
+// or a deprecated type. dep-api carries no fixes, so bplint -fix leaves
+// the file unchanged.
 package use
 
 import (

@@ -72,6 +72,29 @@ func TestDebugServerDoubleClose(t *testing.T) {
 	}
 }
 
+// TestDebugServerCloseJoinsServe pins that Close waits for the Serve
+// goroutine: by the time Close returns, Serve has returned and its done
+// channel is closed, so no goroutine outlives the server.
+func TestDebugServerCloseJoinsServe(t *testing.T) {
+	ds, err := ServeDebug("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ds.done:
+		t.Fatal("Serve returned before Close")
+	default:
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-ds.done:
+	default:
+		t.Fatal("Close returned before Serve did")
+	}
+}
+
 // TestPublishExpvarDirect covers PublishExpvar without going through
 // ServeDebug: the "obs" expvar variable serves the registry's snapshot,
 // repeated publications don't trip expvar.Publish's duplicate-name

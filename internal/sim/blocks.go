@@ -8,159 +8,38 @@ import (
 
 // SimulateBlocks drives every predictor over a streaming block source in
 // bounded memory: one pass, one chunk resident at a time, so trace
-// length is limited by disk, not RAM. Each predictor independently takes
-// the columnar kernel path over every chunk when it implements
-// bp.KernelPredictor (unless opts.ForceReference); other predictors
-// replay the chunk through the scalar Predict/Update loop on records
-// reconstructed from the columns. Per-branch accounting accumulates in
-// flat slices indexed by dense ID that grow with the source's intern
-// table, so resident state is O(chunk + static branch sites + #predictors).
-//
-// Results are bit-identical to Simulate over the equivalent in-memory
-// trace (pinned by the package's streamed-vs-in-memory differential
-// tests): the kernel contract makes chunked replay observationally equal
-// to one full-trace call, and the reference loop sees the identical
-// record sequence. opts.BucketSize works as in Simulate; opts.Parallel
-// is moot (all predictors advance together through the single streaming
-// pass, which is what bounds the memory).
+// length is limited by disk, not RAM. It runs the same engine loop as
+// Simulate (which replays an in-memory trace as a one-chunk source), so
+// results are bit-identical to Simulate over the equivalent in-memory
+// trace at any chunk size. opts.BucketSize works as in Simulate;
+// opts.Parallel is moot (all predictors advance together through the
+// single streaming pass, which is what bounds the memory).
 //
 // The pass reports into opts.Observer (default obs.Default()): the same
 // per-predictor engine counters Simulate uses, plus sim.stream.blocks
 // and the peak-resident-chunk gauge sim.stream.peak_block_bytes.
 func SimulateBlocks(src trace.BlockSource, predictors []bp.Predictor, opts Options) (*Outcome, error) {
 	reg := obs.Or(opts.Observer)
-	out := &Outcome{Results: make([]*Result, len(predictors))}
-	if opts.BucketSize > 0 {
-		out.Timelines = make([]*Timeline, len(predictors))
-		for i, p := range predictors {
-			out.Timelines[i] = &Timeline{Predictor: p.Name(), Bucket: opts.BucketSize}
-		}
-	}
 	if len(predictors) == 0 {
-		return out, src.Err()
+		return newOutcome(predictors, opts.BucketSize), src.Err()
 	}
 	defer reg.StartSpan("sim.simulate_blocks").End()
-
-	// Engine choice is fixed per predictor up front, exactly as in
-	// Simulate's dispatch.
-	kernels := make([]bp.KernelPredictor, len(predictors))
-	for i, p := range predictors {
-		if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
-			kernels[i] = k
-			reg.Counter("sim.runs.fastpath").Inc()
-			reg.Counter("sim.fastpath." + p.Name()).Inc()
-		} else {
-			reg.Counter("sim.runs.reference").Inc()
-			reg.Counter("sim.reference." + p.Name()).Inc()
-		}
-	}
-
-	correct := make([][]int32, len(predictors))
-	totalCorrect := make([]int, len(predictors))
-	bucketCorrect := make([]int, len(predictors))
-	var totals []int32 // per dense ID dynamic occurrence count
-	pos := 0
-	for {
-		blk, ok := src.Next()
-		if !ok {
-			break
-		}
-		addrs := src.Addrs()
-		reg.Counter("sim.stream.blocks").Inc()
-		reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(addrs)*4))
-		totals = growInt32(totals, len(addrs))
-		for i := range correct {
-			correct[i] = growInt32(correct[i], len(addrs))
-		}
-		for _, id := range blk.IDs {
-			totals[id]++
-		}
-		// Replay the chunk in segments that end at timeline bucket
-		// boundaries (the whole chunk when no buckets are requested), so
-		// kernel calls never straddle a bucket.
-		for lo := 0; lo < blk.Len(); {
-			hi := blk.Len()
-			if opts.BucketSize > 0 {
-				hi = min(hi, lo+opts.BucketSize-(pos+lo)%opts.BucketSize)
-			}
-			kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: lo, Hi: hi}
-			for i, p := range predictors {
-				var c int
-				if k := kernels[i]; k != nil {
-					c = k.SimulateBlock(kblk, correct[i])
-				} else {
-					c = referenceSegment(p, blk, addrs, lo, hi, correct[i])
-				}
-				totalCorrect[i] += c
-				bucketCorrect[i] += c
-			}
-			if opts.BucketSize > 0 && (pos+hi)%opts.BucketSize == 0 {
-				for i := range predictors {
-					out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-						float64(bucketCorrect[i])/float64(opts.BucketSize))
-					bucketCorrect[i] = 0
-				}
-			}
-			lo = hi
-		}
-		pos += blk.Len()
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	if opts.BucketSize > 0 && pos%opts.BucketSize != 0 {
-		for i := range predictors {
-			out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-				float64(bucketCorrect[i])/float64(pos%opts.BucketSize))
-		}
-	}
-	reg.Counter("sim.records").Add(int64(pos) * int64(len(predictors)))
-
-	addrs := src.Addrs()
-	for i, p := range predictors {
-		r := newResult(p.Name(), src.Name())
-		for id := range addrs {
-			r.PerBranch[addrs[id]] = &BranchAcc{Correct: int(correct[i][id]), Total: int(totals[id])}
-		}
-		r.Correct = totalCorrect[i]
-		r.Total = pos
-		out.Results[i] = r
-	}
-	return out, nil
+	return simulate(meteredSource{src, reg}, predictors, opts, reg)
 }
 
-// referenceSegment replays block records [lo, hi) through the scalar
-// Predict/Update loop — the reference engine's per-record semantics on
-// records reconstructed from the columns — accumulating per-ID correct
-// counts like a kernel call and returning the segment's correct total.
-func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, hi int, correct []int32) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		id := blk.IDs[i]
-		rec := trace.Record{
-			PC:       addrs[id],
-			Taken:    blk.Taken1(i) != 0,
-			Backward: blk.Back1(i) != 0,
-		}
-		if p.Predict(rec) == rec.Taken {
-			correct[id]++
-			c++
-		}
-		p.Update(rec)
-	}
-	return c
+// meteredSource accounts every chunk a streamed run consumes:
+// sim.stream.blocks and the peak resident chunk (columns plus intern
+// table) in sim.stream.peak_block_bytes.
+type meteredSource struct {
+	trace.BlockSource
+	reg *obs.Registry
 }
 
-// growInt32 extends s with zeroed entries up to length n, preserving the
-// accumulated prefix as the source's intern table grows.
-func growInt32(s []int32, n int) []int32 {
-	if n <= len(s) {
-		return s
+func (m meteredSource) Next() (trace.Block, bool) {
+	blk, ok := m.BlockSource.Next()
+	if ok {
+		m.reg.Counter("sim.stream.blocks").Inc()
+		m.reg.Gauge("sim.stream.peak_block_bytes").Max(int64(blk.Bytes() + len(m.Addrs())*4))
 	}
-	if n <= cap(s) {
-		return s[:n]
-	}
-	out := make([]int32, n, max(n, 2*cap(s)))
-	copy(out, s)
-	return out
+	return blk, ok
 }

@@ -19,7 +19,7 @@ var kernelSpecs = []string{
 // mkSpec parses one predictor spec against the trace's statistics.
 func mkSpec(t *testing.T, spec string, tr *trace.Trace) bp.Predictor {
 	t.Helper()
-	p, err := bp.ParseEnv(spec, bp.Env{Stats: trace.Summarize(tr), Trace: tr})
+	p, err := bp.Parse(spec, bp.Env{Stats: trace.Summarize(tr), Trace: tr})
 	if err != nil {
 		t.Fatalf("spec %q: %v", spec, err)
 	}
@@ -31,18 +31,18 @@ func mkSpec(t *testing.T, spec string, tr *trace.Trace) bp.Predictor {
 type scalarOnly struct{ bp.Predictor }
 
 // TestRunFastPathMatchesReference is the sim-side half of the engine
-// equivalence guarantee: Run (columnar fast path) and RunReference
-// (per-record spec) produce identical Results — labels, totals, and full
-// per-branch accounting — for every kernel-backed spec, solo and
-// batched, and RunConcurrent agrees with both.
+// equivalence guarantee: Simulate's columnar fast path and its
+// ForceReference per-record spec produce identical Results — labels,
+// totals, and full per-branch accounting — for every kernel-backed spec,
+// solo and batched, and a parallel Simulate agrees with both.
 func TestRunFastPathMatchesReference(t *testing.T) {
 	for _, seed := range []int64{3, 77} {
 		tr := randomTrace(seed, 20_000)
 		for _, spec := range kernelSpecs {
-			fast := Run(tr, mkSpec(t, spec, tr))[0]
-			ref := RunReference(tr, mkSpec(t, spec, tr))[0]
+			fast := Simulate(tr, []bp.Predictor{mkSpec(t, spec, tr)}, Options{}).Results[0]
+			ref := Simulate(tr, []bp.Predictor{mkSpec(t, spec, tr)}, Options{ForceReference: true}).Results[0]
 			sameResult(t, spec+"/fast-vs-ref", ref, fast)
-			conc := RunConcurrent(tr, mkSpec(t, spec, tr))[0]
+			conc := Simulate(tr, []bp.Predictor{mkSpec(t, spec, tr)}, Options{Parallel: -1}).Results[0]
 			sameResult(t, spec+"/concurrent-vs-ref", ref, conc)
 		}
 
@@ -53,8 +53,8 @@ func TestRunFastPathMatchesReference(t *testing.T) {
 			batch[i] = mkSpec(t, spec, tr)
 			batchRef[i] = mkSpec(t, spec, tr)
 		}
-		fast := Run(tr, batch...)
-		ref := RunReference(tr, batchRef...)
+		fast := Simulate(tr, batch, Options{}).Results
+		ref := Simulate(tr, batchRef, Options{ForceReference: true}).Results
 		for i, spec := range kernelSpecs {
 			sameResult(t, spec+"/batch", ref[i], fast[i])
 		}
@@ -66,25 +66,23 @@ func TestRunFastPathMatchesReference(t *testing.T) {
 // and results still match per-predictor solo runs.
 func TestRunMixedBatchFallsBack(t *testing.T) {
 	tr := randomTrace(5, 10_000)
-	mixed := Run(tr, mkSpec(t, "gshare:12", tr), mkSpec(t, "loop", tr))
-	soloG := Run(tr, mkSpec(t, "gshare:12", tr))[0]
-	soloL := Run(tr, mkSpec(t, "loop", tr))[0]
+	mixed := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr), mkSpec(t, "loop", tr)}, Options{}).Results
+	soloG := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr)}, Options{}).Results[0]
+	soloL := Simulate(tr, []bp.Predictor{mkSpec(t, "loop", tr)}, Options{}).Results[0]
 	sameResult(t, "mixed/gshare", soloG, mixed[0])
 	sameResult(t, "mixed/loop", soloL, mixed[1])
 }
 
 // TestRunTimelinePackedMatchesReference drives the same trace through
-// RunTimeline twice — once with kernel-backed predictors (columnar
+// a bucketed Simulate twice — once with kernel-backed predictors (columnar
 // bucket replay) and once with the kernels stripped (reference
 // interleaved loop) — and asserts bit-identical bucket accuracies,
 // including the partial final bucket.
 func TestRunTimelinePackedMatchesReference(t *testing.T) {
 	tr := randomTrace(13, 20_500) // not a multiple of the bucket: partial tail
 	for _, bucket := range []int{1000, 64, 20_500, 50_000} {
-		fast := RunTimeline(tr, bucket,
-			mkSpec(t, "gshare:12", tr), mkSpec(t, "bimodal:12", tr), mkSpec(t, "pas:10,9,3", tr))
-		ref := RunTimeline(tr, bucket,
-			scalarOnly{mkSpec(t, "gshare:12", tr)}, scalarOnly{mkSpec(t, "bimodal:12", tr)}, scalarOnly{mkSpec(t, "pas:10,9,3", tr)})
+		fast := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr), mkSpec(t, "bimodal:12", tr), mkSpec(t, "pas:10,9,3", tr)}, Options{BucketSize: bucket}).Timelines
+		ref := Simulate(tr, []bp.Predictor{scalarOnly{mkSpec(t, "gshare:12", tr)}, scalarOnly{mkSpec(t, "bimodal:12", tr)}, scalarOnly{mkSpec(t, "pas:10,9,3", tr)}}, Options{BucketSize: bucket}).Timelines
 		for i := range fast {
 			if fast[i].Predictor != ref[i].Predictor || fast[i].Bucket != ref[i].Bucket {
 				t.Fatalf("bucket=%d: labels %q/%d vs %q/%d", bucket,
@@ -111,8 +109,8 @@ func TestRunTimelinePackedMatchesReference(t *testing.T) {
 func TestRunTimelineStreamedBuckets(t *testing.T) {
 	tr := randomTrace(21, 15_000)
 	const bucket = 1024
-	tl := RunTimeline(tr, bucket, mkSpec(t, "gshare:12", tr))[0]
-	full := RunOne(tr, mkSpec(t, "gshare:12", tr))
+	tl := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr)}, Options{BucketSize: bucket}).Timelines[0]
+	full := Simulate(tr, []bp.Predictor{mkSpec(t, "gshare:12", tr)}, Options{}).Results[0]
 	sum := 0.0
 	for j, acc := range tl.Accuracy {
 		size := bucket

@@ -5,27 +5,30 @@
 // accuracies, and the classifications of section 5 compare per-branch
 // correct counts across predictors.
 //
-// Simulate is the single entry point: it drives a set of predictors over
-// a trace under an Options value selecting parallelism, timeline
-// bucketing, and engine. The package has two execution engines with
-// pinned-identical results:
+// Simulate is the in-memory entry point: it drives a set of predictors
+// over a trace under an Options value selecting parallelism, timeline
+// bucketing, and engine. SimulateBlocks is its streaming twin for traces
+// read chunk by chunk (bpsim -stream); both run one engine loop over a
+// trace.BlockSource, the in-memory trace being a one-chunk source over
+// its memoized Packed view. Per predictor the loop takes one of two
+// paths with pinned-identical results:
 //
-//   - the reference loop (Options.ForceReference) — one Predict/Update
-//     interface call pair and one per-address map update per dynamic
-//     branch — which is the executable specification;
+//   - the reference loop (Options.ForceReference, and every predictor
+//     without a kernel) — one Predict/Update interface call pair per
+//     dynamic branch on records rebuilt from the columns — which is the
+//     executable specification;
 //   - the columnar fast path, taken transparently for every predictor
-//     implementing bp.KernelPredictor: the trace's memoized Packed view
-//     (dense int32 branch IDs + taken bitset) streams through the
-//     predictor's batched SimulateBlock kernel, and per-branch correct
-//     counts accumulate in a flat slice indexed by dense ID instead of a
-//     pointer map.
+//     implementing bp.KernelPredictor: the packed columns (dense int32
+//     branch IDs + taken bitset) stream through the predictor's batched
+//     SimulateBlock kernel.
 //
-// Differential tests (kernel_test.go, differential_test.go, and the
-// experiments package's report byte-identity test) prove the two engines
-// bit-identical: same totals, same per-branch accounts, same report
-// bytes.
+// Either way per-branch correct counts accumulate in a flat slice
+// indexed by dense ID. Differential tests (kernel_test.go,
+// differential_test.go, and the experiments package's report
+// byte-identity test) prove the two paths bit-identical: same totals,
+// same per-branch accounts, same report bytes.
 //
-// Simulate reports which engine each predictor engaged into an
+// Simulate reports which path each predictor engaged into an
 // obs.Registry (Options.Observer, defaulting to the process registry):
 // counters sim.records, sim.runs.{fastpath,reference}, and
 // sim.{fastpath,reference}.<predictor>. The counts depend only on the
@@ -104,48 +107,6 @@ func newResult(predictor, traceName string) *Result {
 	}
 }
 
-// record tallies one prediction.
-func (r *Result) record(pc trace.Addr, correct bool) {
-	r.Total++
-	b := r.PerBranch[pc]
-	if b == nil {
-		b = &BranchAcc{}
-		r.PerBranch[pc] = b
-	}
-	b.Total++
-	if correct {
-		r.Correct++
-		b.Correct++
-	}
-}
-
-// fullBlock builds the kernel input covering the whole packed trace.
-func fullBlock(pt *trace.Packed) bp.KernelBlock {
-	return bp.KernelBlock{
-		IDs:   pt.IDs(),
-		Taken: pt.TakenWords(),
-		Back:  pt.BackwardWords(),
-		Addrs: pt.Addrs(),
-		Lo:    0,
-		Hi:    pt.Len(),
-	}
-}
-
-// resultFromCounts converts the fast path's flat per-ID accounting into
-// the map-shaped Result the rest of the repo consumes. Every dense ID
-// occurs at least once in the trace, so the map's key set is exactly the
-// reference loop's.
-func resultFromCounts(name string, pt *trace.Packed, correct []int32, total int) *Result {
-	r := newResult(name, pt.Name())
-	addrs, counts := pt.Addrs(), pt.Counts()
-	for id := range addrs {
-		r.PerBranch[addrs[id]] = &BranchAcc{Correct: int(correct[id]), Total: int(counts[id])}
-	}
-	r.Correct = total
-	r.Total = pt.Len()
-	return r
-}
-
 // Timeline is a predictor's accuracy over consecutive equal-size spans
 // of a trace, exposing warmup/training behavior: the first buckets show
 // the cold predictor, the tail its steady state.
@@ -162,10 +123,10 @@ type Options struct {
 	// Parallel is the worker budget for fanning independent work across
 	// the runner pool. In Simulate it bounds concurrent predictor runs
 	// (one cell per predictor; predictors are independent, the trace is
-	// read-only). In SimulateSweep and SimulateSweepBlocks it bounds
-	// config shards: the grid splits into up to Parallel contiguous
-	// sub-grids (bp.SweepSharder), each replaying on its own core, and
-	// the per-config counts compose exactly. 0 or 1 runs sequentially;
+	// read-only). In SimulateSweep it bounds config shards: the grid
+	// splits into up to Parallel contiguous sub-grids (bp.SweepSharder),
+	// each replaying on its own core, and the per-config counts compose
+	// exactly. 0 or 1 runs sequentially;
 	// negative selects runtime.GOMAXPROCS(0). Results are bit-identical
 	// at every setting.
 	Parallel int
@@ -198,245 +159,210 @@ type Outcome struct {
 	Timelines []*Timeline
 }
 
-// Simulate drives every predictor over the trace (each predictor sees
-// the identical committed branch stream) and returns one Result — and,
-// when opts.BucketSize > 0, one Timeline — per predictor, in argument
-// order. Each predictor independently takes the columnar fast path over
-// the trace's memoized Packed view when it implements
-// bp.KernelPredictor (unless opts.ForceReference); predictors are
-// mutually independent, so engine choice and scheduling never change
-// the Outcome.
-func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome {
-	reg := obs.Or(opts.Observer)
+// newOutcome shapes an outcome for the predictors, with one Timeline
+// per predictor when bucketSize > 0.
+func newOutcome(predictors []bp.Predictor, bucketSize int) *Outcome {
 	out := &Outcome{Results: make([]*Result, len(predictors))}
-	if opts.BucketSize > 0 {
+	if bucketSize > 0 {
 		out.Timelines = make([]*Timeline, len(predictors))
-	}
-	if len(predictors) == 0 {
-		return out
-	}
-	defer reg.StartSpan("sim.simulate").End()
-	one := func(i int, p bp.Predictor) {
-		r, tl := simulateOne(t, p, opts, reg)
-		out.Results[i] = r
-		if out.Timelines != nil {
-			out.Timelines[i] = tl
-		}
-	}
-	if w := opts.workers(); w > 1 && len(predictors) > 1 {
-		cells := make([]runner.Cell, len(predictors))
 		for i, p := range predictors {
-			i, p := i, p
-			cells[i] = runner.Cell{
-				Exhibit:  "sim",
-				Workload: p.Name(),
-				Run: func(context.Context) error {
-					one(i, p)
-					return nil
-				},
-			}
-		}
-		err := runner.Run(context.Background(), cells, runner.Options{Parallel: w})
-		if err != nil {
-			// Unreachable: cells never fail and the context is never
-			// cancelled; a scheduler error here is a bug, not a condition.
-			panic("sim: Simulate scheduler failed: " + err.Error())
-		}
-	} else {
-		for i, p := range predictors {
-			one(i, p)
+			out.Timelines[i] = &Timeline{Predictor: p.Name(), Bucket: bucketSize}
 		}
 	}
 	return out
 }
 
-// simulateOne runs one predictor via its best admissible engine and
-// accounts the engagement. Counter increments depend only on the
-// (trace, predictor, options) triple, so totals are deterministic at
-// any parallelism.
-func simulateOne(t *trace.Trace, p bp.Predictor, opts Options, reg *obs.Registry) (*Result, *Timeline) {
-	reg.Counter("sim.records").Add(int64(t.Len()))
-	if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
-		reg.Counter("sim.runs.fastpath").Inc()
-		reg.Counter("sim.fastpath." + p.Name()).Inc()
-		return runPackedOne(t, k, opts.BucketSize)
-	}
-	reg.Counter("sim.runs.reference").Inc()
-	reg.Counter("sim.reference." + p.Name()).Inc()
-	return runReferenceOne(t, p, opts.BucketSize)
-}
-
-// runPackedOne drives one kernel predictor over the trace's memoized
-// columnar view: per-branch correct counts accumulate in a flat slice
-// indexed by dense branch ID, with no interface call or map lookup per
-// record. With bucketing the kernel replays one packed block per bucket
-// into the same count slice (kernels only ever increment), so the
-// Result and the Timeline come out of a single pass.
-func runPackedOne(t *trace.Trace, k bp.KernelPredictor, bucketSize int) (*Result, *Timeline) {
-	pt := t.Packed()
-	correct := make([]int32, pt.NumBranches())
-	blk := fullBlock(pt)
-	if bucketSize <= 0 {
-		total := k.SimulateBlock(blk, correct)
-		return resultFromCounts(k.Name(), pt, correct, total), nil
-	}
-	tl := &Timeline{Predictor: k.Name(), Bucket: bucketSize}
-	total := 0
-	for lo := 0; lo < pt.Len(); lo += bucketSize {
-		hi := min(lo+bucketSize, pt.Len())
-		blk.Lo, blk.Hi = lo, hi
-		c := k.SimulateBlock(blk, correct)
-		total += c
-		tl.Accuracy = append(tl.Accuracy, float64(c)/float64(hi-lo))
-	}
-	return resultFromCounts(k.Name(), pt, correct, total), tl
-}
-
-// runReferenceOne drives one predictor through the per-record reference
-// loop — the executable specification the columnar kernels are pinned
-// against: one Predict/Update pair and one map-based per-branch account
-// per dynamic branch, with optional bucket accounting.
-func runReferenceOne(t *trace.Trace, p bp.Predictor, bucketSize int) (*Result, *Timeline) {
-	res := newResult(p.Name(), t.Name())
-	var tl *Timeline
-	if bucketSize > 0 {
-		tl = &Timeline{Predictor: p.Name(), Bucket: bucketSize}
-	}
-	bucketCorrect, bucketN := 0, 0
-	for _, rec := range t.Records() {
-		correct := p.Predict(rec) == rec.Taken
-		p.Update(rec)
-		res.record(rec.PC, correct)
-		if tl != nil {
-			if correct {
-				bucketCorrect++
-			}
-			if bucketN++; bucketN == bucketSize {
-				tl.Accuracy = append(tl.Accuracy, float64(bucketCorrect)/float64(bucketSize))
-				bucketCorrect, bucketN = 0, 0
-			}
-		}
-	}
-	if tl != nil && bucketN > 0 {
-		tl.Accuracy = append(tl.Accuracy, float64(bucketCorrect)/float64(bucketN))
-	}
-	return res, tl
-}
-
-// SimulateScanner drives the predictors from a trace scanner, so
-// on-disk traces of any length simulate in constant memory. The single
-// streaming pass interleaves predictors record by record;
-// opts.BucketSize works as in Simulate, while opts.Parallel and
-// opts.ForceReference are moot (streaming always uses the reference
-// loop — there is no packed view to kernel over). Results are identical
-// to Simulate over the equivalent in-memory trace.
-func SimulateScanner(sc *trace.Scanner, predictors []bp.Predictor, opts Options) (*Outcome, error) {
+// Simulate drives every predictor over the trace (each predictor sees
+// the identical committed branch stream) and returns one Result — and,
+// when opts.BucketSize > 0, one Timeline — per predictor, in argument
+// order. The trace's memoized Packed view is replayed as a one-chunk
+// block source through the same loop SimulateBlocks runs over streamed
+// chunks, so in-memory and streamed runs share one engine. With
+// opts.Parallel > 1 each predictor runs in its own runner cell over its
+// own source; predictors are mutually independent, so engine choice and
+// scheduling never change the Outcome.
+func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome {
 	reg := obs.Or(opts.Observer)
-	out := &Outcome{Results: make([]*Result, len(predictors))}
-	if opts.BucketSize > 0 {
-		out.Timelines = make([]*Timeline, len(predictors))
+	if len(predictors) == 0 {
+		return newOutcome(predictors, opts.BucketSize)
 	}
-	bucketCorrect := make([]int, len(predictors))
+	defer reg.StartSpan("sim.simulate").End()
+	pt := t.Packed()
+	run := func(preds []bp.Predictor) *Outcome {
+		out, err := simulate(pt.Blocks(pt.Len()), preds, opts, reg)
+		if err != nil {
+			// Unreachable: an in-memory packed source cannot fail.
+			panic("sim: Simulate source failed: " + err.Error())
+		}
+		return out
+	}
+	if w := opts.workers(); w <= 1 || len(predictors) == 1 {
+		return run(predictors)
+	}
+	out := newOutcome(predictors, opts.BucketSize)
+	cells := make([]runner.Cell, len(predictors))
 	for i, p := range predictors {
-		out.Results[i] = newResult(p.Name(), sc.Name())
-		if out.Timelines != nil {
-			out.Timelines[i] = &Timeline{Predictor: p.Name(), Bucket: opts.BucketSize}
+		i, p := i, p
+		cells[i] = runner.Cell{
+			Exhibit:  "sim",
+			Workload: p.Name(),
+			Run: func(context.Context) error {
+				one := run([]bp.Predictor{p})
+				out.Results[i] = one.Results[0]
+				if out.Timelines != nil {
+					out.Timelines[i] = one.Timelines[0]
+				}
+				return nil
+			},
 		}
 	}
-	n := 0
-	for sc.Scan() {
-		rec := sc.Record()
-		for i, p := range predictors {
-			correct := p.Predict(rec) == rec.Taken
-			p.Update(rec)
-			out.Results[i].record(rec.PC, correct)
-			if correct {
-				bucketCorrect[i]++
-			}
-		}
-		if n++; out.Timelines != nil && n%opts.BucketSize == 0 {
-			for i := range predictors {
-				out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-					float64(bucketCorrect[i])/float64(opts.BucketSize))
-				bucketCorrect[i] = 0
-			}
+	err := runner.Run(context.Background(), cells, runner.Options{Parallel: opts.workers()})
+	if err != nil {
+		// Unreachable: cells never fail and the context is never
+		// cancelled; a scheduler error here is a bug, not a condition.
+		panic("sim: Simulate scheduler failed: " + err.Error())
+	}
+	return out
+}
+
+// simulate is the one simulation engine: it drives every predictor
+// through a block source chunk by chunk. Each predictor independently
+// takes the columnar kernel path over every chunk when it implements
+// bp.KernelPredictor (unless opts.ForceReference); other predictors
+// replay the chunk through the scalar Predict/Update loop on records
+// reconstructed from the columns. Per-branch accounting accumulates in
+// flat slices indexed by dense ID that grow with the source's intern
+// table, so resident state is O(chunk + static branch sites +
+// #predictors). The kernel contract makes chunked replay
+// observationally equal to one full-trace call, so the Outcome is the
+// same at any chunk size.
+//
+// The engine counters (sim.records, sim.runs.{fastpath,reference} and
+// sim.{fastpath,reference}.<predictor>) depend only on the work
+// requested, so totals are deterministic at any parallelism.
+func simulate(src trace.BlockSource, predictors []bp.Predictor, opts Options, reg *obs.Registry) (*Outcome, error) {
+	out := newOutcome(predictors, opts.BucketSize)
+	// Engine choice is fixed per predictor up front.
+	kernels := make([]bp.KernelPredictor, len(predictors))
+	for i, p := range predictors {
+		if k, ok := p.(bp.KernelPredictor); ok && !opts.ForceReference {
+			kernels[i] = k
+			reg.Counter("sim.runs.fastpath").Inc()
+			reg.Counter("sim.fastpath." + p.Name()).Inc()
+		} else {
+			reg.Counter("sim.runs.reference").Inc()
+			reg.Counter("sim.reference." + p.Name()).Inc()
 		}
 	}
-	if err := sc.Err(); err != nil {
+
+	correct := make([][]int32, len(predictors))
+	totalCorrect := make([]int, len(predictors))
+	bucketCorrect := make([]int, len(predictors))
+	var totals []int32 // per dense ID dynamic occurrence count
+	pos := 0
+	for {
+		blk, ok := src.Next()
+		if !ok {
+			break
+		}
+		addrs := src.Addrs()
+		totals = growInt32(totals, len(addrs))
+		for i := range correct {
+			correct[i] = growInt32(correct[i], len(addrs))
+		}
+		for _, id := range blk.IDs {
+			totals[id]++
+		}
+		// Replay the chunk in segments that end at timeline bucket
+		// boundaries (the whole chunk when no buckets are requested), so
+		// kernel calls never straddle a bucket.
+		for lo := 0; lo < blk.Len(); {
+			hi := blk.Len()
+			if opts.BucketSize > 0 {
+				hi = min(hi, lo+opts.BucketSize-(pos+lo)%opts.BucketSize)
+			}
+			kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: addrs, Lo: lo, Hi: hi}
+			for i, p := range predictors {
+				var c int
+				if k := kernels[i]; k != nil {
+					c = k.SimulateBlock(kblk, correct[i])
+				} else {
+					c = referenceSegment(p, blk, addrs, lo, hi, correct[i])
+				}
+				totalCorrect[i] += c
+				bucketCorrect[i] += c
+			}
+			if opts.BucketSize > 0 && (pos+hi)%opts.BucketSize == 0 {
+				for i := range predictors {
+					out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
+						float64(bucketCorrect[i])/float64(opts.BucketSize))
+					bucketCorrect[i] = 0
+				}
+			}
+			lo = hi
+		}
+		pos += blk.Len()
+	}
+	if err := src.Err(); err != nil {
 		return nil, err
 	}
-	if out.Timelines != nil && n%opts.BucketSize != 0 {
+	if opts.BucketSize > 0 && pos%opts.BucketSize != 0 {
 		for i := range predictors {
 			out.Timelines[i].Accuracy = append(out.Timelines[i].Accuracy,
-				float64(bucketCorrect[i])/float64(n%opts.BucketSize))
+				float64(bucketCorrect[i])/float64(pos%opts.BucketSize))
 		}
 	}
-	reg.Counter("sim.records").Add(int64(n) * int64(len(predictors)))
-	for _, p := range predictors {
-		reg.Counter("sim.runs.reference").Inc()
-		reg.Counter("sim.reference." + p.Name()).Inc()
+	reg.Counter("sim.records").Add(int64(pos) * int64(len(predictors)))
+
+	addrs := src.Addrs()
+	for i, p := range predictors {
+		r := newResult(p.Name(), src.Name())
+		for id := range addrs {
+			r.PerBranch[addrs[id]] = &BranchAcc{Correct: int(correct[i][id]), Total: int(totals[id])}
+		}
+		r.Correct = totalCorrect[i]
+		r.Total = pos
+		out.Results[i] = r
 	}
 	return out, nil
 }
 
-// Run returns one Result per predictor, in argument order.
-//
-// Deprecated: Run is Simulate with zero Options; new code should call
-// Simulate.
-func Run(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{}).Results
-}
-
-// RunReference runs every predictor through the per-record reference
-// loop, the executable specification the columnar fast path is pinned
-// bit-identical to by the package's differential tests.
-//
-// Deprecated: RunReference is Simulate with Options.ForceReference; new
-// code should call Simulate.
-func RunReference(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{ForceReference: true}).Results
-}
-
-// RunOne is a convenience wrapper for a single predictor.
-//
-// Deprecated: RunOne is Simulate with one predictor; new code should
-// call Simulate.
-func RunOne(t *trace.Trace, p bp.Predictor) *Result {
-	return Simulate(t, []bp.Predictor{p}, Options{}).Results[0]
-}
-
-// RunTimeline records each predictor's accuracy per bucket of
-// bucketSize dynamic branches; bucketSize must be positive.
-//
-// Deprecated: RunTimeline is Simulate with Options.BucketSize; new code
-// should call Simulate.
-func RunTimeline(t *trace.Trace, bucketSize int, predictors ...bp.Predictor) []*Timeline {
-	if bucketSize <= 0 {
-		panic("sim: bucket size must be positive")
+// referenceSegment replays block records [lo, hi) through the scalar
+// Predict/Update loop — the reference engine's per-record semantics on
+// records reconstructed from the columns, and the executable
+// specification the columnar kernels are pinned against — accumulating
+// per-ID correct counts like a kernel call and returning the segment's
+// correct total.
+func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, hi int, correct []int32) int {
+	c := 0
+	for i := lo; i < hi; i++ {
+		id := blk.IDs[i]
+		rec := trace.Record{
+			PC:       addrs[id],
+			Taken:    blk.Taken1(i) != 0,
+			Backward: blk.Back1(i) != 0,
+		}
+		if p.Predict(rec) == rec.Taken {
+			correct[id]++
+			c++
+		}
+		p.Update(rec)
 	}
-	return Simulate(t, predictors, Options{BucketSize: bucketSize}).Timelines
+	return c
 }
 
-// RunStream drives the predictors from a trace scanner in constant
-// memory.
-//
-// Deprecated: RunStream is SimulateScanner with zero Options; new code
-// should call SimulateScanner.
-func RunStream(sc *trace.Scanner, predictors ...bp.Predictor) ([]*Result, error) {
-	out, err := SimulateScanner(sc, predictors, Options{})
-	if err != nil {
-		return nil, err
+// growInt32 extends s with zeroed entries up to length n, preserving the
+// accumulated prefix as the source's intern table grows.
+func growInt32(s []int32, n int) []int32 {
+	if n <= len(s) {
+		return s
 	}
-	return out.Results, nil
-}
-
-// RunConcurrent behaves exactly like Run but fans the predictors out
-// across the runner worker pool.
-//
-// Deprecated: RunConcurrent is Simulate with Options.Parallel; new code
-// should call Simulate.
-func RunConcurrent(t *trace.Trace, predictors ...bp.Predictor) []*Result {
-	return Simulate(t, predictors, Options{Parallel: -1}).Results
+	if n <= cap(s) {
+		return s[:n]
+	}
+	out := make([]int32, n, max(n, 2*cap(s)))
+	copy(out, s)
+	return out
 }
 
 // CombineMax builds the paper's hypothetical per-branch combiner: for

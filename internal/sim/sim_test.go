@@ -21,7 +21,7 @@ func TestRunAccounting(t *testing.T) {
 		rec(0x10, true), rec(0x10, true), rec(0x10, false),
 		rec(0x20, false),
 	)
-	res := RunOne(tr, bp.AlwaysTaken{})
+	res := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}}, Options{}).Results[0]
 	if res.Total != 4 || res.Correct != 2 {
 		t.Fatalf("total=%d correct=%d, want 4/2", res.Total, res.Correct)
 	}
@@ -45,7 +45,7 @@ func TestRunAccounting(t *testing.T) {
 
 func TestRunMultiplePredictorsSameStream(t *testing.T) {
 	tr := mkTrace(rec(0x10, true), rec(0x10, false), rec(0x20, true))
-	rs := Run(tr, bp.AlwaysTaken{}, bp.AlwaysNotTaken{})
+	rs := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}, bp.AlwaysNotTaken{}}, Options{}).Results
 	if len(rs) != 2 {
 		t.Fatalf("len = %d", len(rs))
 	}
@@ -60,7 +60,7 @@ func TestRunMultiplePredictorsSameStream(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	tr := mkTrace(rec(0x10, true), rec(0x10, true))
-	res := RunOne(tr, bp.AlwaysTaken{})
+	res := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}}, Options{}).Results[0]
 	want := "always-taken on test: 100.00% (2 branches)"
 	if got := res.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
@@ -68,7 +68,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	res := RunOne(trace.New("empty", 0), bp.AlwaysTaken{})
+	res := Simulate(trace.New("empty", 0), []bp.Predictor{bp.AlwaysTaken{}}, Options{}).Results[0]
 	if res.Accuracy() != 0 || res.Total != 0 {
 		t.Errorf("empty: %+v", res)
 	}
@@ -79,7 +79,7 @@ func TestCombineMax(t *testing.T) {
 		rec(0x10, true), rec(0x10, true), // taken branch: AT wins
 		rec(0x20, false), rec(0x20, false), rec(0x20, false), // NT wins
 	)
-	rs := Run(tr, bp.AlwaysTaken{}, bp.AlwaysNotTaken{})
+	rs := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}, bp.AlwaysNotTaken{}}, Options{}).Results
 	comb := CombineMax("best", rs[0], rs[1])
 	if comb.Correct != 5 || comb.Total != 5 {
 		t.Errorf("combined = %d/%d, want 5/5", comb.Correct, comb.Total)
@@ -98,7 +98,7 @@ func TestCombineSelect(t *testing.T) {
 		rec(0x10, true), rec(0x10, true),
 		rec(0x20, false), rec(0x20, false),
 	)
-	rs := Run(tr, bp.AlwaysTaken{}, bp.AlwaysNotTaken{})
+	rs := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}, bp.AlwaysNotTaken{}}, Options{}).Results
 	// Deliberately choose the WORSE predictor for 0x20: combine must
 	// honor the assignment, not optimize.
 	comb := CombineSelect("sel", rs[0], rs[1], func(pc trace.Addr) bool { return true })
@@ -118,7 +118,7 @@ func TestDiffPercentiles(t *testing.T) {
 		rec(0x10, true),
 		rec(0x20, false), rec(0x20, false), rec(0x20, false),
 	)
-	rs := Run(tr, bp.AlwaysTaken{}, bp.AlwaysNotTaken{})
+	rs := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}, bp.AlwaysNotTaken{}}, Options{}).Results
 	got := DiffPercentiles(rs[0], rs[1], []float64{10, 50, 75, 100})
 	// 75% of dynamic weight sits at diff -100, the rest at +100.
 	want := []float64{-100, -100, -100, 100}
@@ -135,7 +135,7 @@ func TestDiffPercentilesMonotone(t *testing.T) {
 		rec(0x20, false), rec(0x20, false),
 		rec(0x30, true),
 	)
-	rs := Run(tr, bp.AlwaysTaken{}, bp.AlwaysNotTaken{})
+	rs := Simulate(tr, []bp.Predictor{bp.AlwaysTaken{}, bp.AlwaysNotTaken{}}, Options{}).Results
 	ps := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 	got := DiffPercentiles(rs[0], rs[1], ps)
 	for i := 1; i < len(got); i++ {

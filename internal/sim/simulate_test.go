@@ -125,20 +125,23 @@ func TestSimulateCountersParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSimulateScannerBuckets checks the streaming driver matches the
-// in-memory reference engine on both Results and Timelines.
+// TestSimulateScannerBuckets checks the streaming driver — a BTR1 stream
+// decoded by trace.ReadBlocks, feeding a predictor with a kernel (gshare)
+// and one without (tage) — matches the in-memory reference engine on
+// both Results and Timelines. The name is kept from the record Scanner
+// this case was first written against.
 func TestSimulateScannerBuckets(t *testing.T) {
 	tr := randomTrace(7, 5_500)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := trace.NewScanner(&buf)
+	src, err := trace.ReadBlocks(&buf, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := []string{"gshare:10", "tage"}
-	got, err := SimulateScanner(sc, mustParse(t, specs...), Options{BucketSize: 1000})
+	got, err := SimulateBlocks(src, mustParse(t, specs...), Options{BucketSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

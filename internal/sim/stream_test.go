@@ -20,15 +20,16 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := trace.NewScanner(&buf)
+	src, err := trace.ReadBlocks(&buf, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := RunStream(sc, bp.NewGshare(10), bp.NewLoop())
+	out, err := SimulateBlocks(src, []bp.Predictor{bp.NewGshare(10), bp.NewLoop()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := Run(tr, bp.NewGshare(10), bp.NewLoop())
+	streamed := out.Results
+	direct := Simulate(tr, []bp.Predictor{bp.NewGshare(10), bp.NewLoop()}, Options{}).Results
 	for i := range direct {
 		if streamed[i].Correct != direct[i].Correct || streamed[i].Total != direct[i].Total {
 			t.Errorf("predictor %d: streamed %d/%d vs direct %d/%d", i,
@@ -50,11 +51,11 @@ func TestRunStreamSurfacesError(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	sc, err := trace.NewScanner(bytes.NewReader(data[:len(data)-10]))
+	src, err := trace.ReadBlocks(bytes.NewReader(data[:len(data)-10]), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStream(sc, bp.AlwaysTaken{}); err == nil {
+	if _, err := SimulateBlocks(src, []bp.Predictor{bp.AlwaysTaken{}}, Options{}); err == nil {
 		t.Error("truncated stream should return an error")
 	}
 }

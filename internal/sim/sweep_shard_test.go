@@ -5,14 +5,13 @@ import (
 
 	"branchcorr/internal/bp"
 	"branchcorr/internal/obs"
-	"branchcorr/internal/trace"
 )
 
 // Differential suite for the config-sharded sweep scheduler: at every
-// Parallel setting, SimulateSweep and SimulateSweepBlocks must produce
-// byte-identical outcomes to the sequential engine, for every grid
-// family — fused, fallback, and degraded-shard alike. Run under -race
-// these tests also pin the feeder barrier's soundness.
+// Parallel setting, SimulateSweep must produce byte-identical outcomes
+// to the sequential engine, for every grid family — fused, fallback,
+// and degraded-shard alike. Run under -race these tests also pin that
+// shards share no mutable state.
 
 // kernelOnlyGrid hides a fused grid's Shard method: a SweepKernel that
 // is not a SweepSharder, forcing the scheduler's degraded path.
@@ -55,26 +54,6 @@ func TestSimulateSweepShardedMatchesSequential(t *testing.T) {
 		}
 		ref := SimulateSweep(tr, mk(), Options{ForceReference: true, Parallel: 2})
 		sameSweep(t, name+"/sharded-reference", ref, base.Correct, base.Total)
-	}
-}
-
-// TestSimulateSweepBlocksShardedMatchesSequential pins the streaming
-// scheduler — feeder cell, per-chunk barrier, reused source buffers —
-// byte-identical to the sequential streaming pass at every chunk size
-// and shard count.
-func TestSimulateSweepBlocksShardedMatchesSequential(t *testing.T) {
-	tr := randomTrace(61, 30_000)
-	for name, mk := range shardTestGrids() {
-		base := SimulateSweep(tr, mk(), Options{})
-		for _, chunk := range []int{64, 1000, trace.DefaultBlockLen} {
-			for _, par := range []int{2, 3, -1} {
-				out, err := SimulateSweepBlocks(tr.Packed().Blocks(chunk), mk(), Options{Parallel: par})
-				if err != nil {
-					t.Fatalf("%s chunk=%d parallel=%d: %v", name, chunk, par, err)
-				}
-				sameSweep(t, name+"/stream-sharded", out, base.Correct, base.Total)
-			}
-		}
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // Differential suite for the sweep engine: SimulateSweep (fused and
-// ForceReference) and SimulateSweepBlocks (every chunk size) must agree
-// bit-identically, per config, with independent sim.Simulate runs of
+// ForceReference) must agree bit-identically, per config, with independent sim.Simulate runs of
 // the grid's scalar configs — the same equivalence ladder the
 // single-predictor engine is pinned by, lifted to whole grids.
 
@@ -86,24 +85,6 @@ func TestSimulateSweepMatchesIndependentRuns(t *testing.T) {
 			sameSweep(t, name+"/fused", fused, want, tr.Len())
 			ref := SimulateSweep(tr, mk(), Options{ForceReference: true})
 			sameSweep(t, name+"/reference", ref, want, tr.Len())
-		}
-	}
-}
-
-// TestSimulateSweepBlocksMatchesPacked pins the streaming sweep
-// bit-identical to the in-memory sweep at every chunk size, for fused
-// and fallback grids alike, including chunks that straddle the 64-bit
-// outcome words.
-func TestSimulateSweepBlocksMatchesPacked(t *testing.T) {
-	tr := randomTrace(41, 30_000)
-	for name, mk := range sweepTestGrids() {
-		want := independentCorrect(tr, mk())
-		for _, chunk := range []int{1, 63, 64, 65, 1000, trace.DefaultBlockLen} {
-			out, err := SimulateSweepBlocks(tr.Packed().Blocks(chunk), mk(), Options{})
-			if err != nil {
-				t.Fatalf("%s chunk=%d: %v", name, chunk, err)
-			}
-			sameSweep(t, name, out, want, tr.Len())
 		}
 	}
 }

@@ -97,10 +97,12 @@ func copyBits(dst, src []uint64, lo, n int) {
 }
 
 // PackedSource adapts an in-memory Packed view to the BlockSource
-// contract — the trivial source the streaming engine's differential
-// tests compare every other source against. The ID column is served as
-// subslices of the packed column (zero copy); the bitsets are re-based
-// per block into reused buffers.
+// contract; an in-memory trace is simulated as the one-chunk source
+// p.Blocks(p.Len()). The ID column is served as subslices of the packed
+// column (zero copy). So are the bitsets of a block that starts on a
+// word boundary and ends on one or at the trace end — always the case
+// for a one-chunk source — since the packed view's tail padding is
+// zero; other blocks' bitsets are re-based into reused buffers.
 type PackedSource struct {
 	p     *Packed
 	chunk int
@@ -116,13 +118,7 @@ func (p *Packed) Blocks(chunkLen int) *PackedSource {
 	if chunkLen <= 0 {
 		chunkLen = DefaultBlockLen
 	}
-	words := (chunkLen + 63) / 64
-	return &PackedSource{
-		p:     p,
-		chunk: chunkLen,
-		taken: make([]uint64, words),
-		back:  make([]uint64, words),
-	}
+	return &PackedSource{p: p, chunk: chunkLen}
 }
 
 // Name implements BlockSource.
@@ -144,11 +140,21 @@ func (s *PackedSource) Next() (Block, bool) {
 	n := min(s.chunk, s.p.Len()-lo)
 	s.pos = lo + n
 	words := (n + 63) / 64
+	blk := Block{IDs: s.p.IDs()[lo : lo+n]}
+	if lo&63 == 0 && (n&63 == 0 || s.pos == s.p.Len()) {
+		w := lo >> 6
+		blk.Taken = s.p.TakenWords()[w : w+words : w+words]
+		blk.Back = s.p.BackwardWords()[w : w+words : w+words]
+		return blk, true
+	}
+	if s.taken == nil {
+		chunkWords := (s.chunk + 63) / 64
+		s.taken = make([]uint64, chunkWords)
+		s.back = make([]uint64, chunkWords)
+	}
 	copyBits(s.taken, s.p.TakenWords(), lo, n)
 	copyBits(s.back, s.p.BackwardWords(), lo, n)
-	return Block{
-		IDs:   s.p.IDs()[lo : lo+n],
-		Taken: s.taken[:words],
-		Back:  s.back[:words],
-	}, true
+	blk.Taken = s.taken[:words]
+	blk.Back = s.back[:words]
+	return blk, true
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -180,6 +181,91 @@ func TestReadBlocksTruncated(t *testing.T) {
 	if _, ok := br.Next(); ok {
 		t.Error("Next after error should keep returning false")
 	}
+}
+
+// The TestScanner* tests keep the names of the record-at-a-time Scanner
+// they were first written against; they now drive ReadBlocks, the
+// streaming decoder that replaced it.
+
+func scannerTrace(t *testing.T) (*Trace, []byte) {
+	t.Helper()
+	tr := New("scan", 0)
+	for i := 0; i < 5000; i++ {
+		tr.Append(Record{
+			PC:       Addr(0x100 + (i%37)*4),
+			Taken:    i%3 != 0,
+			Backward: i%5 == 0,
+		})
+	}
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return tr, buf.Bytes()
+}
+
+// requireTruncated asserts a stream that ends before its header's record
+// count surfaces as a source error at chunk sizes 1, 64 and the default,
+// and that Next keeps returning false after it.
+func requireTruncated(t *testing.T, data []byte) {
+	t.Helper()
+	for _, chunk := range []int{1, 64, 0} {
+		br, err := ReadBlocks(bytes.NewReader(data), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, ok := br.Next(); !ok {
+				break
+			}
+		}
+		if br.Err() == nil {
+			t.Errorf("chunk=%d: truncated stream should surface an error", chunk)
+		}
+		if _, ok := br.Next(); ok {
+			t.Errorf("chunk=%d: Next after error should keep returning false", chunk)
+		}
+	}
+}
+
+func TestScannerMatchesRead(t *testing.T) {
+	tr, data := scannerTrace(t)
+	br, err := ReadBlocks(bytes.NewReader(data), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if br.Name() != "scan" {
+		t.Errorf("Name = %q", br.Name())
+	}
+	if br.Remaining() != tr.Len() {
+		t.Errorf("Remaining = %d, want %d", br.Remaining(), tr.Len())
+	}
+	got := drainSource(t, br)
+	if len(got) != tr.Len() {
+		t.Errorf("decoded %d records, want %d", len(got), tr.Len())
+	}
+	for i, r := range got {
+		if r != tr.At(i) {
+			t.Fatalf("record %d: %v != %v", i, r, tr.At(i))
+		}
+	}
+	if _, ok := br.Next(); ok {
+		t.Error("Next after end of stream should be false")
+	}
+	if br.Remaining() != 0 {
+		t.Errorf("Remaining after end of stream = %d", br.Remaining())
+	}
+}
+
+func TestScannerBadMagic(t *testing.T) {
+	if _, err := ReadBlocks(strings.NewReader("XXXXXXXXXX"), 8); err != ErrBadMagic {
+		t.Errorf("err = %v, want ErrBadMagic", err)
+	}
+}
+
+func TestScannerTruncated(t *testing.T) {
+	_, data := scannerTrace(t)
+	requireTruncated(t, data[:len(data)/2])
 }
 
 // TestInterleaveStreaming covers the Interleave + streaming interaction:

@@ -52,20 +52,11 @@ func TestReadHugeCountNoOOM(t *testing.T) {
 	}
 }
 
-// TestScannerHugeCountBounded: the scanner never preallocated, but the
-// same claim must still surface as a truncation error, not an infinite
-// loop.
+// TestScannerHugeCountBounded: the streaming decoder never preallocates
+// by the header's count, but the same claim must still surface as a
+// truncation error at every chunk size, not an infinite loop.
 func TestScannerHugeCountBounded(t *testing.T) {
-	data := newStream().name("x").uvarint(1 << 60).bytes()
-	sc, err := NewScanner(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sc.Scan() {
-	}
-	if sc.Err() == nil {
-		t.Error("scanner should surface the truncation")
-	}
+	requireTruncated(t, newStream().name("x").uvarint(1<<60).bytes())
 }
 
 func TestReadRejectsReservedHeaderBits(t *testing.T) {
@@ -140,18 +131,23 @@ func TestReadRejectsAliasedDelta(t *testing.T) {
 	}
 }
 
+// TestScannerRejectsNonCanonical: the streaming decoder enforces the
+// same canonical-encoding rules as Read, surfacing a violation as a
+// source error rather than a decoded record.
 func TestScannerRejectsNonCanonical(t *testing.T) {
 	reserved := newStream().name("s").uvarint(1).uvarint(1 << 4).bytes()
 	zero := newStream().name("s").uvarint(1).uvarint(0).raw(0x00).bytes()
-	for name, data := range map[string][]byte{"reserved bits": reserved, "zero delta": zero} {
-		sc, err := NewScanner(bytes.NewReader(data))
+	nonMinimal := newStream().name("n").uvarint(1).raw(0x80, 0x00).uvarint(zigzag(4)).bytes()
+	for name, data := range map[string][]byte{"reserved bits": reserved, "zero delta": zero, "non-minimal header": nonMinimal} {
+		br, err := ReadBlocks(bytes.NewReader(data), 8)
 		if err != nil {
 			t.Fatalf("%s: header: %v", name, err)
 		}
-		for sc.Scan() {
+		if _, ok := br.Next(); ok {
+			t.Errorf("%s: decoded a block from a non-canonical stream", name)
 		}
-		if sc.Err() == nil {
-			t.Errorf("%s: scanner accepted non-canonical stream", name)
+		if br.Err() == nil {
+			t.Errorf("%s: ReadBlocks accepted non-canonical stream", name)
 		}
 	}
 }
@@ -167,9 +163,6 @@ func TestScannerHeaderErrors(t *testing.T) {
 		"missing count":    newStream().name("n").bytes(),
 	}
 	for name, data := range cases {
-		if _, err := NewScanner(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: NewScanner succeeded", name)
-		}
 		if _, err := ReadBlocks(bytes.NewReader(data), 8); err == nil {
 			t.Errorf("%s: ReadBlocks succeeded", name)
 		}

@@ -13,8 +13,9 @@ import (
 //  2. Canonical prefix identity: when Read accepts, re-encoding the
 //     trace reproduces exactly the bytes the decoder consumed — i.e.
 //     the input begins with the canonical encoding.
-//  3. The streaming Scanner agrees with Read record for record on every
-//     accepted input, so the two decoders cannot drift.
+//  3. The streaming block decoder (ReadBlocks) agrees with Read record
+//     for record on every accepted input, so the two decoders cannot
+//     drift.
 func FuzzTraceRead(f *testing.F) {
 	tr := localityTrace("seed", 300, 17)
 	var buf bytes.Buffer
@@ -51,19 +52,18 @@ func FuzzTraceRead(f *testing.F) {
 		if rt.Name() != tr.Name() || rt.Len() != tr.Len() {
 			t.Fatalf("round-trip: %q/%d vs %q/%d", rt.Name(), rt.Len(), tr.Name(), tr.Len())
 		}
-		sc, err := NewScanner(bytes.NewReader(data))
+		br, err := ReadBlocks(bytes.NewReader(data), 7)
 		if err != nil {
-			t.Fatalf("scanner rejected header Read accepted: %v", err)
+			t.Fatalf("ReadBlocks rejected header Read accepted: %v", err)
 		}
-		i := 0
-		for sc.Scan() {
-			if i >= tr.Len() || sc.Record() != tr.At(i) {
-				t.Fatalf("scanner record %d diverges from Read", i)
+		got := drainSource(t, br)
+		if len(got) != tr.Len() {
+			t.Fatalf("ReadBlocks decoded %d/%d records", len(got), tr.Len())
+		}
+		for i, r := range got {
+			if r != tr.At(i) {
+				t.Fatalf("ReadBlocks record %d diverges from Read", i)
 			}
-			i++
-		}
-		if sc.Err() != nil || i != tr.Len() {
-			t.Fatalf("scanner stopped at %d/%d: %v", i, tr.Len(), sc.Err())
 		}
 	})
 }

@@ -113,7 +113,7 @@ func TestTraceShape(t *testing.T) {
 // and CPU-simulator stand-ins.
 func TestDifficultyOrdering(t *testing.T) {
 	acc := func(name string) float64 {
-		return sim.RunOne(gen(t, name), bp.NewGshare(14)).Accuracy()
+		return sim.Simulate(gen(t, name), []bp.Predictor{bp.NewGshare(14)}, sim.Options{}).Results[0].Accuracy()
 	}
 	gcc, goAcc := acc("gcc"), acc("go")
 	vortex, m88k := acc("vortex"), acc("m88ksim")
@@ -141,7 +141,7 @@ func TestDifficultyOrdering(t *testing.T) {
 // (fixed-trip DCT loops) that a loop predictor captures nearly perfectly.
 func TestLoopClassPresence(t *testing.T) {
 	tr := gen(t, "ijpeg")
-	res := sim.RunOne(tr, bp.NewLoop())
+	res := sim.Simulate(tr, []bp.Predictor{bp.NewLoop()}, sim.Options{}).Results[0]
 	st := trace.Summarize(tr)
 	perfect := 0
 	for pc, site := range st.Sites {
@@ -162,7 +162,7 @@ func TestLoopClassPresence(t *testing.T) {
 // correlation the paper is about.
 func TestCorrelationPresence(t *testing.T) {
 	tr := gen(t, "gcc")
-	rs := sim.Run(tr, bp.NewIFGshare(12), bp.NewIFPAs(12))
+	rs := sim.Simulate(tr, []bp.Predictor{bp.NewIFGshare(12), bp.NewIFPAs(12)}, sim.Options{}).Results
 	gl, loc := rs[0], rs[1]
 	globalWins := 0
 	for pc, b := range gl.PerBranch {
