@@ -39,7 +39,7 @@ func main() {
 		fatal(fmt.Errorf("unexpected argument %q (all options are flags)", flag.Arg(0)))
 	}
 
-	tr, err := loadTrace(*tracePath, *workload, *n)
+	tr, err := workloads.Load(*tracePath, *workload, *n)
 	if err != nil {
 		fatal(err)
 	}
@@ -141,26 +141,6 @@ func main() {
 		m.IPC(gshare.Accuracy()), m.IPC(best), m.Speedup(gshare.Accuracy(), best))
 	if err := w.Flush(); err != nil {
 		fatal(err)
-	}
-}
-
-func loadTrace(path, workload string, n int) (*trace.Trace, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.Read(f)
-	case workload != "":
-		w, err := workloads.ByName(workload)
-		if err != nil {
-			return nil, err
-		}
-		return w.Generate(n), nil
-	default:
-		return nil, fmt.Errorf("need -trace FILE or -workload NAME")
 	}
 }
 

@@ -144,7 +144,7 @@ func main() {
 		results = out.Results
 		header = fmt.Sprintf("trace %s (streamed): %d dynamic branches", src.Name(), results[0].Total)
 	} else {
-		tr, err := loadTrace(*tracePath, *workload, *n)
+		tr, err := workloads.Load(*tracePath, *workload, *n)
 		if err != nil {
 			fatal(err)
 		}
@@ -170,26 +170,6 @@ func main() {
 	}
 	if err := w.Flush(); err != nil {
 		fatal(err)
-	}
-}
-
-func loadTrace(path, workload string, n int) (*trace.Trace, error) {
-	switch {
-	case path != "":
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.Read(f)
-	case workload != "":
-		w, err := workloads.ByName(workload)
-		if err != nil {
-			return nil, err
-		}
-		return w.Generate(n), nil
-	default:
-		return nil, fmt.Errorf("need -trace FILE or -workload NAME")
 	}
 }
 

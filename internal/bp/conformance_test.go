@@ -36,7 +36,7 @@ func replay(p bp.Predictor, tr *trace.Trace) (correct int, fingerprint uint64) {
 		prime64  = 1099511628211
 	)
 	fingerprint = offset64
-	for _, rec := range tr.Records() {
+	for _, rec := range recordsOf(tr) {
 		pred := p.Predict(rec)
 		p.Update(rec)
 		bit := byte(0)

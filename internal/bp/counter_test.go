@@ -135,7 +135,7 @@ func TestIdealStaticIsStaticCeiling(t *testing.T) {
 	st := trace.Summarize(tr)
 	p := NewIdealStatic(st)
 	correct := 0
-	for _, r := range tr.Records() {
+	for _, r := range recordsOf(tr) {
 		if p.Predict(r) == r.Taken {
 			correct++
 		}
@@ -219,4 +219,14 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	mustPanic("hybrid", func() { NewHybrid(AlwaysTaken{}, AlwaysNotTaken{}, 0) })
 	mustPanic("fixedk lo", func() { NewFixedK(0) })
 	mustPanic("fixedk hi", func() { NewFixedK(33) })
+}
+
+// recordsOf reads a trace back as records from its packed columns.
+func recordsOf(tr *trace.Trace) []trace.Record {
+	pt := tr.Packed()
+	recs := make([]trace.Record, pt.Len())
+	for i := range recs {
+		recs[i] = pt.Record(i)
+	}
+	return recs
 }

@@ -47,7 +47,7 @@ func kernelRandomTrace(seed int64, n int) *trace.Trace {
 func scalarCounts(p bp.Predictor, tr *trace.Trace, lo, hi int) (map[trace.Addr]int, int) {
 	perPC := make(map[trace.Addr]int)
 	total := 0
-	for _, rec := range tr.Records()[lo:hi] {
+	for _, rec := range recordsOf(tr)[lo:hi] {
 		pred := p.Predict(rec)
 		p.Update(rec)
 		if pred == rec.Taken {
@@ -196,4 +196,14 @@ func TestKernelScalarInterleaving(t *testing.T) {
 			sameCounts(t, "kernel-then-scalar", wantPC, wantTotal, kPC, kTotal+sTotal)
 		})
 	}
+}
+
+// recordsOf reads a trace back as records from its packed columns.
+func recordsOf(tr *trace.Trace) []trace.Record {
+	pt := tr.Packed()
+	recs := make([]trace.Record, pt.Len())
+	for i := range recs {
+		recs[i] = pt.Record(i)
+	}
+	return recs
 }

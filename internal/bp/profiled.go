@@ -31,14 +31,13 @@ func NewProfiledGshare(t *trace.Trace, historyBits uint) *ProfiledGshare {
 	taken := make([]int32, 1<<historyBits)
 	total := make([]int32, 1<<historyBits)
 	history := uint32(0)
-	for _, r := range t.Records() {
-		idx := ((uint32(r.PC) >> 2) ^ history) & mask
+	p := t.Packed()
+	for i, id := range p.IDs() {
+		idx := ((uint32(p.AddrOf(id)) >> 2) ^ history) & mask
 		total[idx]++
-		if r.Taken {
-			taken[idx]++
-		}
 		history = (history << 1) & mask
-		if r.Taken {
+		if p.Taken(i) {
+			taken[idx]++
 			history |= 1
 		}
 	}

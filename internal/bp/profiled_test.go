@@ -19,7 +19,7 @@ func TestProfiledGshareSameSetMatchesAdaptive(t *testing.T) {
 	prof := NewProfiledGshare(tr, 10)
 	adap := NewGshare(10)
 	profCorrect, adapCorrect := 0, 0
-	for _, r := range tr.Records() {
+	for _, r := range recordsOf(tr) {
 		if prof.Predict(r) == r.Taken {
 			profCorrect++
 		}

@@ -142,8 +142,9 @@ func ClassifyPerAddress(t *trace.Trace, cfg ClassifyConfig) *PAClassification {
 		bp.NewIFPAs(cfg.IFPAsHistoryBits),
 	}, sim.Options{Observer: cfg.Obs}).Results
 	sweep := bp.NewFixedKSweep()
-	for _, r := range t.Records() {
-		sweep.Observe(r)
+	pt := t.Packed()
+	for i := range pt.Len() {
+		sweep.Observe(pt.Record(i))
 	}
 	p := &PAClassification{
 		Class:  make(map[trace.Addr]PAClass, len(stats.Sites)),

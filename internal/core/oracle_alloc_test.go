@@ -36,7 +36,7 @@ func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	cfg := OracleConfig{WindowLen: 8}.withDefaults()
-	cands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+	cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 	matchers := make([]*beamMatcher, pt.NumBranches())
 	var all []*beamMatcher
 	for pc, c := range cands {

@@ -8,22 +8,9 @@ import (
 )
 
 // This file is the oracle's public API, mirroring sim.Simulate: one
-// options-based call, Oracle, over an in-memory source. Streaming is
+// options-based call, Oracle, over an in-memory trace. Streaming is
 // offered for simulation only (sim.SimulateBlocks); the oracle always
 // runs over the packed columns.
-
-// Source is any in-memory input the oracle can run over. Both
-// *trace.Trace (whose Packed method memoizes the columnar view) and
-// *trace.Packed (which returns itself) satisfy it, so callers holding
-// either hand it to Oracle directly with no packing boilerplate.
-type Source interface {
-	Packed() *trace.Packed
-}
-
-var (
-	_ Source = (*trace.Trace)(nil)
-	_ Source = (*trace.Packed)(nil)
-)
 
 // OracleStage selects how much of the oracle pipeline runs.
 type OracleStage int
@@ -71,13 +58,13 @@ type OracleOptions struct {
 	Candidates map[trace.Addr]*Candidates
 }
 
-// Oracle runs the correlation oracle over an in-memory source in the
-// stage-selected configuration and returns the Selections. StageFull
+// Oracle runs the correlation oracle over the trace's packed columns in
+// the stage-selected configuration and returns the Selections. StageFull
 // and StageSelect fill Selections.BySize; StageProfile fills
 // Selections.Candidates. The work runs on the columnar kernels; results
 // are bit-identical at every ScoreParallel.
-func Oracle(src Source, opts OracleOptions) *Selections {
-	pt := src.Packed()
+func Oracle(t *trace.Trace, opts OracleOptions) *Selections {
+	pt := t.Packed()
 	switch opts.Stage {
 	case StageProfile:
 		return &Selections{Candidates: profilePacked(pt, opts.OracleConfig)}

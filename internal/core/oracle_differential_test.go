@@ -122,11 +122,10 @@ func TestKernelDifferentialWindows(t *testing.T) {
 		for _, w := range []int{8, 16, 32} {
 			t.Run(fmt.Sprintf("%s/w=%d", tr.Name(), w), func(t *testing.T) {
 				cfg := OracleConfig{WindowLen: w}
-				pt := trace.Pack(tr)
-				gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+				gotC := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 				wantC := ReferenceProfileCandidates(tr, cfg)
 				mustEqualCandidates(t, gotC, wantC)
-				mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
+				mustEqualSelections(t, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
 			})
 		}
 	}
@@ -134,14 +133,13 @@ func TestKernelDifferentialWindows(t *testing.T) {
 
 func TestKernelDifferentialSchemes(t *testing.T) {
 	tr := randomTrace(7, 500, 10)
-	pt := trace.Pack(tr)
 	for _, schemes := range [][]Scheme{
 		{Occurrence},
 		{BackwardCount},
 		{Occurrence, BackwardCount},
 	} {
 		cfg := OracleConfig{Schemes: schemes}
-		mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg}), ReferenceBuildSelective(tr, cfg))
+		mustEqualSelections(t, Oracle(tr, OracleOptions{OracleConfig: cfg}), ReferenceBuildSelective(tr, cfg))
 	}
 }
 
@@ -153,12 +151,11 @@ func TestKernelDifferentialSchemes(t *testing.T) {
 func TestKernelDifferentialPrunePressure(t *testing.T) {
 	for _, maxCands := range []int{4, 8, 24} {
 		tr := randomTrace(uint32(maxCands), 800, 30)
-		pt := trace.Pack(tr)
 		cfg := OracleConfig{WindowLen: 32, MaxCandidates: maxCands}
-		gotC := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+		gotC := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 		wantC := ReferenceProfileCandidates(tr, cfg)
 		mustEqualCandidates(t, gotC, wantC)
-		mustEqualSelections(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
+		mustEqualSelections(t, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: gotC}), ReferenceSelectRefs(tr, wantC, cfg))
 	}
 }
 
@@ -166,10 +163,9 @@ func TestKernelDifferentialPrunePressure(t *testing.T) {
 // invariant across scoring parallelism levels.
 func TestKernelScoreParallelInvariant(t *testing.T) {
 	tr := randomTrace(11, 600, 12)
-	pt := trace.Pack(tr)
-	base := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: 1}})
+	base := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: 1}})
 	for _, par := range []int{2, 8, 0} {
-		got := Oracle(pt, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: par}})
+		got := Oracle(tr, OracleOptions{OracleConfig: OracleConfig{ScoreParallel: par}})
 		if !reflect.DeepEqual(got, base) {
 			t.Errorf("ScoreParallel=%d selections differ from serial run", par)
 		}
@@ -237,11 +233,10 @@ func TestPruneBiasRegression(t *testing.T) {
 	}
 
 	// Both implementations must agree on the biased result exactly.
-	pt := trace.Pack(tr)
 	for _, cfg := range []OracleConfig{
 		{WindowLen: 8},
 		{WindowLen: 8, MaxCandidates: 8},
 	} {
-		mustEqualCandidates(t, Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates, ReferenceProfileCandidates(tr, cfg))
+		mustEqualCandidates(t, Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates, ReferenceProfileCandidates(tr, cfg))
 	}
 }

@@ -83,7 +83,9 @@ func ReferenceProfileCandidates(t *trace.Trace, cfg OracleConfig) map[trace.Addr
 	cfg = cfg.withDefaults()
 	window := NewWindow(cfg.WindowLen)
 	profiles := make(map[trace.Addr]*branchProfile)
-	for _, r := range t.Records() {
+	pt := t.Packed()
+	for i := range pt.Len() {
+		r := pt.Record(i)
 		p := profiles[r.PC]
 		if p == nil {
 			p = &branchProfile{cands: make(map[Ref]*candStats)}
@@ -206,7 +208,9 @@ func jointPass(t *trace.Trace, cands map[trace.Addr]*Candidates,
 	}
 	window := NewWindow(windowLen)
 	var states [maxTopK]State
-	for _, r := range t.Records() {
+	pt := t.Packed()
+	for i := range pt.Len() {
+		r := pt.Record(i)
 		subs := subsets[r.PC]
 		if subs != nil {
 			refs := cands[r.PC].Refs

@@ -23,12 +23,12 @@ func streamChunks(w int) []int {
 	return []int{1, w - 1, w, w + 1, 1000}
 }
 
-// chunked returns pt after a round trip through the BPK1 encoding at the
+// chunked returns tr after a round trip through the BPK1 encoding at the
 // given chunk length.
-func chunked(t *testing.T, pt *trace.Packed, chunk int) *trace.Packed {
+func chunked(t *testing.T, tr *trace.Trace, chunk int) *trace.Trace {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := corpus.Encode(&buf, pt, chunk); err != nil {
+	if err := corpus.Encode(&buf, tr.Packed(), chunk); err != nil {
 		t.Fatal(err)
 	}
 	got, stored, err := corpus.Decode(&buf)
@@ -38,18 +38,17 @@ func chunked(t *testing.T, pt *trace.Packed, chunk int) *trace.Packed {
 	if stored != chunk {
 		t.Fatalf("stored chunk length %d, want %d", stored, chunk)
 	}
-	return got
+	return trace.FromPacked(got)
 }
 
 func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		pt := trace.Pack(tr)
 		for _, w := range []int{8, 16, 32} {
 			opts := OracleOptions{OracleConfig: OracleConfig{WindowLen: w}, Stage: StageProfile}
-			want := Oracle(pt, opts).Candidates
+			want := Oracle(tr, opts).Candidates
 			for _, chunk := range streamChunks(w) {
 				t.Run(fmt.Sprintf("%s/w=%d/chunk=%d", tr.Name(), w, chunk), func(t *testing.T) {
-					mustEqualCandidates(t, Oracle(chunked(t, pt, chunk), opts).Candidates, want)
+					mustEqualCandidates(t, Oracle(chunked(t, tr, chunk), opts).Candidates, want)
 				})
 			}
 		}
@@ -58,13 +57,12 @@ func TestProfileCandidatesBlocksMatchesPacked(t *testing.T) {
 
 func TestSelectRefsBlocksMatchesPacked(t *testing.T) {
 	for _, tr := range differentialTraces() {
-		pt := trace.Pack(tr)
 		cfg := OracleConfig{WindowLen: 16}
-		cands := Oracle(pt, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
+		cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
 		opts := OracleOptions{OracleConfig: cfg, Stage: StageSelect, Candidates: cands}
-		want := Oracle(pt, opts)
+		want := Oracle(tr, opts)
 		for _, chunk := range streamChunks(16) {
-			mustEqualSelections(t, Oracle(chunked(t, pt, chunk), opts), want)
+			mustEqualSelections(t, Oracle(chunked(t, tr, chunk), opts), want)
 		}
 	}
 }
@@ -80,7 +78,7 @@ func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
 		cfg := OracleConfig{WindowLen: 16}
 		want := Oracle(tr, OracleOptions{OracleConfig: cfg})
 		key := corpus.Key(tr.Name(), tr.Len(), "test")
-		if err := st.PutPacked(key, trace.Pack(tr)); err != nil {
+		if err := st.PutPacked(key, tr.Packed()); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := st.LoadTrace(key)
@@ -96,30 +94,30 @@ func TestBuildSelectiveBlocksFromDisk(t *testing.T) {
 // in the decoded record order would change which candidates are
 // evicted.
 func TestStreamDifferentialPrunePressure(t *testing.T) {
-	pt := trace.Pack(randomTrace(9, 800, 30))
+	tr := randomTrace(9, 800, 30)
 	opts := OracleOptions{OracleConfig: OracleConfig{WindowLen: 32, MaxCandidates: 8}, Stage: StageProfile}
-	want := Oracle(pt, opts).Candidates
+	want := Oracle(tr, opts).Candidates
 	for _, chunk := range []int{1, 31, 33, 777} {
-		mustEqualCandidates(t, Oracle(chunked(t, pt, chunk), opts).Candidates, want)
+		mustEqualCandidates(t, Oracle(chunked(t, tr, chunk), opts).Candidates, want)
 	}
 }
 
 // TestStreamDifferentialSchemes checks scheme filtering over chunked
 // input.
 func TestStreamDifferentialSchemes(t *testing.T) {
-	pt := trace.Pack(randomTrace(7, 500, 10))
+	tr := randomTrace(7, 500, 10)
 	for _, schemes := range [][]Scheme{{Occurrence}, {BackwardCount}} {
 		opts := OracleOptions{OracleConfig: OracleConfig{Schemes: schemes}}
-		mustEqualSelections(t, Oracle(chunked(t, pt, 37), opts), Oracle(pt, opts))
+		mustEqualSelections(t, Oracle(chunked(t, tr, 37), opts), Oracle(tr, opts))
 	}
 }
 
 func TestOracleBlocksEmptyTrace(t *testing.T) {
-	pt := chunked(t, trace.Pack(trace.New("empty", 0)), 8)
-	if cands := Oracle(pt, OracleOptions{Stage: StageProfile}).Candidates; len(cands) != 0 {
+	tr := chunked(t, trace.New("empty", 0), 8)
+	if cands := Oracle(tr, OracleOptions{Stage: StageProfile}).Candidates; len(cands) != 0 {
 		t.Fatalf("empty profile: %d candidates", len(cands))
 	}
-	sel := Oracle(pt, OracleOptions{})
+	sel := Oracle(tr, OracleOptions{})
 	for k := 1; k <= MaxSelectiveRefs; k++ {
 		if len(sel.BySize[k]) != 0 {
 			t.Errorf("empty trace produced size-%d assignments", k)

@@ -75,12 +75,13 @@ func selSweepTotals(g *SelectiveSweep, pt *trace.Packed, chunk int) []int32 {
 // across chunk sizes including single-record and word-straddling ones.
 func TestSelectiveSweepScalarConformance(t *testing.T) {
 	tr := selSweepTrace(4000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
+	recs := recordsOf(tr)
 	cfgs := selSweepConfigs()
 	want := make([]int32, len(cfgs))
 	for c, cfg := range cfgs {
 		p := NewSelectiveMode(cfg.Name, cfg.Window, cfg.Assign, cfg.Mode)
-		for _, r := range tr.Records() {
+		for _, r := range recs {
 			if p.Predict(r) == r.Taken {
 				want[c]++
 			}
@@ -103,7 +104,7 @@ func TestSelectiveSweepScalarConformance(t *testing.T) {
 // identical stream, so composition is exact).
 func TestSelectiveSweepShardComposition(t *testing.T) {
 	tr := selSweepTrace(3000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	cfgs := selSweepConfigs()
 	want := selSweepTotals(NewSelectiveSweep("sel", cfgs), pt, 1000)
 	names := NewSelectiveSweep("sel", cfgs).ConfigNames()
@@ -165,7 +166,7 @@ func TestSelectiveSweepConfigNames(t *testing.T) {
 // scratch.
 func TestSelectiveSweepAllocs(t *testing.T) {
 	tr := selSweepTrace(3000)
-	pt := trace.Pack(tr)
+	pt := tr.Packed()
 	g := NewSelectiveSweep("sel", selSweepConfigs())
 	correct := make([]int32, len(g.ConfigNames()))
 	full := selBlockOf(pt, 0, pt.Len())
@@ -218,7 +219,7 @@ func TestStatesWithinMatchesDedicatedWindow(t *testing.T) {
 		small := NewWindow(n)
 		wantSt := make([]State, len(refs))
 		gotSt := make([]State, len(refs))
-		for i, r := range tr.Records() {
+		for i, r := range recordsOf(tr) {
 			small.States(refs, wantSt)
 			big.StatesWithin(n, refs, gotSt)
 			for k := range refs {

@@ -210,7 +210,7 @@ func TestSelectiveUpdateWithoutPredict(t *testing.T) {
 	assign := Assignment{0x200: {Ref{0x100, Occurrence, 0}}}
 	paired := NewSelective("paired", 16, assign)
 	solo := NewSelective("solo", 16, assign)
-	for _, r := range tr.Records() {
+	for _, r := range recordsOf(tr) {
 		paired.Predict(r)
 		paired.Update(r)
 		solo.Update(r) // no Predict call
@@ -218,7 +218,7 @@ func TestSelectiveUpdateWithoutPredict(t *testing.T) {
 	// Both predictors must end in identical trained state: compare
 	// predictions on a probe sweep.
 	probe := correlatedPair(200, 2)
-	for _, r := range probe.Records() {
+	for _, r := range recordsOf(probe) {
 		if paired.Predict(r) != solo.Predict(r) {
 			t.Fatalf("divergent state after training without Predict")
 		}
@@ -252,4 +252,14 @@ func TestSelectiveName(t *testing.T) {
 	if p.Name() != "sel(3,16)" {
 		t.Errorf("Name = %q", p.Name())
 	}
+}
+
+// recordsOf reads a trace back as records from its packed columns.
+func recordsOf(tr *trace.Trace) []trace.Record {
+	pt := tr.Packed()
+	recs := make([]trace.Record, pt.Len())
+	for i := range recs {
+		recs[i] = pt.Record(i)
+	}
+	return recs
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -36,9 +37,10 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 		if got.Name() != tr.Name() || got.Len() != tr.Len() {
 			t.Fatalf("%s: loaded %q/%d, want %q/%d", w.Name(), got.Name(), got.Len(), tr.Name(), tr.Len())
 		}
+		gp, tp := got.Packed(), tr.Packed()
 		for i := 0; i < tr.Len(); i++ {
-			if got.At(i) != tr.At(i) {
-				t.Fatalf("%s: record %d = %v, want %v", w.Name(), i, got.At(i), tr.At(i))
+			if gp.Record(i) != tp.Record(i) {
+				t.Fatalf("%s: record %d = %v, want %v", w.Name(), i, gp.Record(i), tp.Record(i))
 			}
 		}
 		mk := func() []bp.Predictor {
@@ -54,6 +56,44 @@ func TestRoundTripAllWorkloads(t *testing.T) {
 			t.Errorf("%s: stored-trace sim %d/%d, generated %d/%d",
 				w.Name(), have.Correct, have.Total, want.Correct, want.Total)
 		}
+	}
+}
+
+// TestLoadTraceWrapsDecodedView pins the hit path's one-form contract:
+// the loaded trace's Packed() is the decoded view itself, so no packing
+// pass runs and no records are materialized, and its columns equal the
+// stored trace's.
+func TestLoadTraceWrapsDecodedView(t *testing.T) {
+	st, err := Open(t.TempDir(), obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := workloads.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := w.Generate(3000)
+	key := Key("gcc", 3000, "r1")
+	if err := st.PutPacked(key, tr.Packed()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.LoadTrace(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.Default().Counter("trace.pack.builds")
+	before := builds.Value()
+	pt := got.Packed()
+	if builds.Value() != before {
+		t.Error("Packed() on a loaded trace ran a packing pass")
+	}
+	if got.Packed() != pt {
+		t.Error("Packed() on a loaded trace returned a different view")
+	}
+	want := tr.Packed()
+	if !reflect.DeepEqual(pt.IDs(), want.IDs()) || !reflect.DeepEqual(pt.Addrs(), want.Addrs()) ||
+		!reflect.DeepEqual(pt.TakenWords(), want.TakenWords()) || !reflect.DeepEqual(pt.BackwardWords(), want.BackwardWords()) {
+		t.Error("loaded view's columns differ from the stored trace's")
 	}
 }
 
@@ -87,8 +127,9 @@ func TestGetTraceHitMiss(t *testing.T) {
 	if h, m := reg.Counter("corpus.hits").Value(), reg.Counter("corpus.misses").Value(); h != 1 || m != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/1", h, m)
 	}
+	fp, sp := first.Packed(), second.Packed()
 	for i := 0; i < first.Len(); i++ {
-		if first.At(i) != second.At(i) {
+		if fp.Record(i) != sp.Record(i) {
 			t.Fatalf("record %d differs between generated and loaded trace", i)
 		}
 	}

@@ -65,78 +65,78 @@ func ceilings(t *trace.Trace, maxK int, k kind) *Result {
 	if maxK < 0 || maxK > MaxContext {
 		panic(fmt.Sprintf("entropy: history length %d out of range [0,%d]", maxK, MaxContext))
 	}
-	// counts[k][branch][context] = [notTaken, taken]
+	// counts[k][branch ID][context] = [notTaken, taken]
 	type ctxCounts map[uint32]*[2]int
-	counts := make([]map[trace.Addr]ctxCounts, maxK+1)
+	p := t.Packed()
+	counts := make([][]ctxCounts, maxK+1)
 	for i := range counts {
-		counts[i] = make(map[trace.Addr]ctxCounts)
+		counts[i] = make([]ctxCounts, p.NumBranches())
 	}
-	localHist := make(map[trace.Addr]uint32)
+	localHist := make([]uint32, p.NumBranches())
 	globalHist := uint32(0)
-	totals := make(map[trace.Addr]int)
-	for _, r := range t.Records() {
-		totals[r.PC]++
+	for i, id := range p.IDs() {
 		var hist uint32
 		if k == localKind {
-			hist = localHist[r.PC]
+			hist = localHist[id]
 		} else {
 			hist = globalHist
 		}
+		taken := p.Taken(i)
 		for kk := 0; kk <= maxK; kk++ {
 			ctx := hist & (1<<kk - 1)
-			m := counts[kk][r.PC]
+			m := counts[kk][id]
 			if m == nil {
 				m = make(ctxCounts)
-				counts[kk][r.PC] = m
+				counts[kk][id] = m
 			}
 			c := m[ctx]
 			if c == nil {
 				c = &[2]int{}
 				m[ctx] = c
 			}
-			if r.Taken {
+			if taken {
 				c[1]++
 			} else {
 				c[0]++
 			}
 		}
 		bit := uint32(0)
-		if r.Taken {
+		if taken {
 			bit = 1
 		}
 		if k == localKind {
-			localHist[r.PC] = localHist[r.PC]<<1 | bit
+			localHist[id] = localHist[id]<<1 | bit
 		} else {
 			globalHist = globalHist<<1 | bit
 		}
 	}
 
 	res := &Result{
-		PerBranch:    make(map[trace.Addr]*Ceiling, len(totals)),
+		PerBranch:    make(map[trace.Addr]*Ceiling, p.NumBranches()),
 		Weighted:     make([]float64, maxK+1),
 		WeightedBits: make([]float64, maxK+1),
 	}
 	// Aggregate in sorted branch (and context) order: float addition is
-	// not associative, so summing in map iteration order would make the
-	// weighted ceilings differ in their low bits from run to run.
-	pcs := make([]trace.Addr, 0, len(totals))
-	grand := 0
-	for pc, total := range totals {
-		pcs = append(pcs, pc)
-		res.PerBranch[pc] = &Ceiling{
+	// not associative, so summing in any other order would make the
+	// weighted ceilings differ in their low bits from the address-ordered
+	// result.
+	ids := make([]int32, p.NumBranches())
+	for id, total := range p.Counts() {
+		ids[id] = int32(id)
+		res.PerBranch[p.AddrOf(int32(id))] = &Ceiling{
 			Best:  make([]float64, maxK+1),
 			Bits:  make([]float64, maxK+1),
-			Total: total,
+			Total: int(total),
 		}
-		grand += total
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
+	grand := p.Len()
+	sort.Slice(ids, func(i, j int) bool { return p.AddrOf(ids[i]) < p.AddrOf(ids[j]) })
 	for kk := 0; kk <= maxK; kk++ {
 		grandBest := 0
 		grandBits := 0.0
-		for _, pc := range pcs {
-			m := counts[kk][pc]
-			c := res.PerBranch[pc]
+		for _, id := range ids {
+			m := counts[kk][id]
+			c := res.PerBranch[p.AddrOf(id)]
 			ctxs := make([]uint32, 0, len(m))
 			for ctx := range m {
 				ctxs = append(ctxs, ctx)

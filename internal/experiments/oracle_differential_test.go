@@ -54,14 +54,17 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 }
 
 // TestPackedMemoizedPerTrace pins that the suite packs each trace exactly
-// once even when many oracle windows and exhibits consume it.
+// once even when many oracle windows and exhibits consume it: every
+// consumer reads the one view the trace memoizes.
 func TestPackedMemoizedPerTrace(t *testing.T) {
 	s := testSuite(t)
 	tr := s.Traces()[0]
-	p1 := s.packedFor(tr)
-	p2 := s.packedFor(tr)
-	if p1 != p2 {
-		t.Error("packedFor returned distinct views for the same trace")
+	p1 := tr.Packed()
+	if _, err := s.BuildReport(context.Background(), []string{"table2", "fig5"}, runner.Options{Parallel: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if p2 := tr.Packed(); p1 != p2 {
+		t.Error("the suite's exhibits replaced the trace's packed view")
 	}
 	if p1.Len() != tr.Len() {
 		t.Errorf("packed view length %d, trace length %d", p1.Len(), tr.Len())

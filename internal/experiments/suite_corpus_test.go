@@ -45,8 +45,9 @@ func TestSuiteCorpusReuse(t *testing.T) {
 		if got.Name() != tr.Name() || got.Len() != tr.Len() {
 			t.Fatalf("trace %d: %q/%d vs %q/%d", i, got.Name(), got.Len(), tr.Name(), tr.Len())
 		}
+		gp, tp := got.Packed(), tr.Packed()
 		for j := 0; j < tr.Len(); j++ {
-			if got.At(j) != tr.At(j) {
+			if gp.Record(j) != tp.Record(j) {
 				t.Fatalf("%s: record %d differs between generated and corpus-loaded trace", tr.Name(), j)
 			}
 		}

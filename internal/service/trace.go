@@ -14,8 +14,8 @@ import (
 )
 
 // resolvedTrace is a request's trace after resolution: the content
-// address it is served under plus the decoded trace (with its Packed
-// memo seeded, so repeated requests skip the packing pass).
+// address it is served under plus the trace, which holds only its
+// packed columns, so repeated requests skip decoding and packing.
 type resolvedTrace struct {
 	key string
 	tr  *trace.Trace

@@ -29,7 +29,7 @@ func randomTrace(seed int64, n int) *trace.Trace {
 			backward: rng.Intn(4) == 0,
 		}
 	}
-	for len(tr.Records()) < n {
+	for tr.Len() < n {
 		s := sites[rng.Intn(len(sites))]
 		// Loop-closing sites emit short taken runs to give the loop and
 		// local-history predictors real structure.
@@ -37,7 +37,7 @@ func randomTrace(seed int64, n int) *trace.Trace {
 		if s.backward {
 			reps = 1 + rng.Intn(6)
 		}
-		for r := 0; r < reps && len(tr.Records()) < n; r++ {
+		for r := 0; r < reps && tr.Len() < n; r++ {
 			taken := rng.Float64() < s.bias
 			if s.backward && r < reps-1 {
 				taken = true

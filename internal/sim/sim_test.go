@@ -9,7 +9,11 @@ import (
 )
 
 func mkTrace(recs ...trace.Record) *trace.Trace {
-	return trace.FromRecords("test", recs)
+	tr := trace.New("test", len(recs))
+	for _, r := range recs {
+		tr.Append(r)
+	}
+	return tr
 }
 
 func rec(pc trace.Addr, taken bool) trace.Record {

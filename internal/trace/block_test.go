@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -40,9 +44,11 @@ func drainSource(t *testing.T, src BlockSource) []Record {
 	return recs
 }
 
-func localityTrace(name string, n int, seed int64) *Trace {
+// localityTrace returns a trace with branch-like PC locality, plus the
+// records it was built from, which the packed trace no longer holds.
+func localityTrace(name string, n int, seed int64) (*Trace, []Record) {
 	rng := rand.New(rand.NewSource(seed))
-	tr := New(name, n)
+	recs := make([]Record, 0, n)
 	pc := Addr(0x1000)
 	for i := 0; i < n; i++ {
 		switch rng.Intn(4) {
@@ -53,9 +59,9 @@ func localityTrace(name string, n int, seed int64) *Trace {
 		default:
 			pc += 4
 		}
-		tr.Append(Record{PC: pc, Taken: rng.Intn(3) != 0, Backward: rng.Intn(5) == 0})
+		recs = append(recs, Record{PC: pc, Taken: rng.Intn(3) != 0, Backward: rng.Intn(5) == 0})
 	}
-	return tr
+	return build(name, recs), recs
 }
 
 // chunkCases returns the adversarial chunk lengths for a trace of n
@@ -74,8 +80,8 @@ func chunkCases(n int) []int {
 
 func TestPackedSourceMatchesRecords(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 128, 1000} {
-		tr := localityTrace("ps", n, int64(n)+1)
-		pt := Pack(tr)
+		tr, recs := localityTrace("ps", n, int64(n)+1)
+		pt := tr.Packed()
 		for _, chunk := range chunkCases(n) {
 			src := pt.Blocks(chunk)
 			if src.Name() != "ps" {
@@ -86,8 +92,8 @@ func TestPackedSourceMatchesRecords(t *testing.T) {
 				t.Fatalf("n=%d chunk=%d: drained %d records", n, chunk, len(got))
 			}
 			for i, r := range got {
-				if r != tr.At(i) {
-					t.Fatalf("n=%d chunk=%d: record %d = %v, want %v", n, chunk, i, r, tr.At(i))
+				if r != recs[i] {
+					t.Fatalf("n=%d chunk=%d: record %d = %v, want %v", n, chunk, i, r, recs[i])
 				}
 			}
 		}
@@ -97,8 +103,8 @@ func TestPackedSourceMatchesRecords(t *testing.T) {
 // TestPackedSourceIDsMatchPack pins the dense-ID assignment: the
 // streamed IDs must be byte-for-byte the packed column, chunk by chunk.
 func TestPackedSourceIDsMatchPack(t *testing.T) {
-	tr := localityTrace("ids", 777, 7)
-	pt := Pack(tr)
+	tr, _ := localityTrace("ids", 777, 7)
+	pt := tr.Packed()
 	for _, chunk := range chunkCases(tr.Len()) {
 		src := pt.Blocks(chunk)
 		pos := 0
@@ -119,12 +125,12 @@ func TestPackedSourceIDsMatchPack(t *testing.T) {
 
 func TestReadBlocksMatchesPack(t *testing.T) {
 	for _, n := range []int{0, 1, 64, 65, 1000} {
-		tr := localityTrace("rb", n, int64(n)+13)
+		tr, recs := localityTrace("rb", n, int64(n)+13)
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		pt := Pack(tr)
+		pt := tr.Packed()
 		for _, chunk := range chunkCases(n) {
 			br, err := ReadBlocks(bytes.NewReader(buf.Bytes()), chunk)
 			if err != nil {
@@ -141,11 +147,11 @@ func TestReadBlocksMatchesPack(t *testing.T) {
 				t.Fatalf("n=%d chunk=%d: drained %d records", n, chunk, len(got))
 			}
 			for i, r := range got {
-				if r != tr.At(i) {
-					t.Fatalf("n=%d chunk=%d: record %d = %v, want %v", n, chunk, i, r, tr.At(i))
+				if r != recs[i] {
+					t.Fatalf("n=%d chunk=%d: record %d = %v, want %v", n, chunk, i, r, recs[i])
 				}
 			}
-			// The incremental intern table must end up identical to Pack's.
+			// The incremental intern table must end up identical to packing's.
 			addrs := br.Addrs()
 			if len(addrs) != pt.NumBranches() {
 				t.Fatalf("intern table has %d entries, want %d", len(addrs), pt.NumBranches())
@@ -160,7 +166,7 @@ func TestReadBlocksMatchesPack(t *testing.T) {
 }
 
 func TestReadBlocksTruncated(t *testing.T) {
-	tr := localityTrace("trunc", 500, 3)
+	tr, _ := localityTrace("trunc", 500, 3)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -187,28 +193,34 @@ func TestReadBlocksTruncated(t *testing.T) {
 // they were first written against; they now drive ReadBlocks, the
 // streaming decoder that replaced it.
 
-func scannerTrace(t *testing.T) (*Trace, []byte) {
+func scannerTrace(t *testing.T) ([]Record, []byte) {
 	t.Helper()
-	tr := New("scan", 0)
-	for i := 0; i < 5000; i++ {
-		tr.Append(Record{
+	recs := make([]Record, 5000)
+	for i := range recs {
+		recs[i] = Record{
 			PC:       Addr(0x100 + (i%37)*4),
 			Taken:    i%3 != 0,
 			Backward: i%5 == 0,
-		})
+		}
 	}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := build("scan", recs).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return tr, buf.Bytes()
+	return recs, buf.Bytes()
 }
 
 // requireTruncated asserts a stream that ends before its header's record
 // count surfaces as a source error at chunk sizes 1, 64 and the default,
-// and that Next keeps returning false after it.
+// that Next keeps returning false after it, and that the error is a
+// truncation (io.ErrUnexpectedEOF, never a clean io.EOF) with the same
+// text Read reports, record index included.
 func requireTruncated(t *testing.T, data []byte) {
 	t.Helper()
+	_, readErr := Read(bytes.NewReader(data))
+	if !errors.Is(readErr, io.ErrUnexpectedEOF) || errors.Is(readErr, io.EOF) {
+		t.Errorf("Read: err = %v, want io.ErrUnexpectedEOF and not io.EOF", readErr)
+	}
 	for _, chunk := range []int{1, 64, 0} {
 		br, err := ReadBlocks(bytes.NewReader(data), chunk)
 		if err != nil {
@@ -219,8 +231,16 @@ func requireTruncated(t *testing.T, data []byte) {
 				break
 			}
 		}
-		if br.Err() == nil {
+		err = br.Err()
+		if err == nil {
 			t.Errorf("chunk=%d: truncated stream should surface an error", chunk)
+			continue
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			t.Errorf("chunk=%d: err = %v, want io.ErrUnexpectedEOF and not io.EOF", chunk, err)
+		}
+		if readErr != nil && err.Error() != readErr.Error() {
+			t.Errorf("chunk=%d: ReadBlocks err %q, Read err %q", chunk, err, readErr)
 		}
 		if _, ok := br.Next(); ok {
 			t.Errorf("chunk=%d: Next after error should keep returning false", chunk)
@@ -229,7 +249,7 @@ func requireTruncated(t *testing.T, data []byte) {
 }
 
 func TestScannerMatchesRead(t *testing.T) {
-	tr, data := scannerTrace(t)
+	recs, data := scannerTrace(t)
 	br, err := ReadBlocks(bytes.NewReader(data), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -237,16 +257,16 @@ func TestScannerMatchesRead(t *testing.T) {
 	if br.Name() != "scan" {
 		t.Errorf("Name = %q", br.Name())
 	}
-	if br.Remaining() != tr.Len() {
-		t.Errorf("Remaining = %d, want %d", br.Remaining(), tr.Len())
+	if br.Remaining() != len(recs) {
+		t.Errorf("Remaining = %d, want %d", br.Remaining(), len(recs))
 	}
 	got := drainSource(t, br)
-	if len(got) != tr.Len() {
-		t.Errorf("decoded %d records, want %d", len(got), tr.Len())
+	if len(got) != len(recs) {
+		t.Errorf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i, r := range got {
-		if r != tr.At(i) {
-			t.Fatalf("record %d: %v != %v", i, r, tr.At(i))
+		if r != recs[i] {
+			t.Fatalf("record %d: %v != %v", i, r, recs[i])
 		}
 	}
 	if _, ok := br.Next(); ok {
@@ -273,19 +293,20 @@ func TestScannerTruncated(t *testing.T) {
 // the switch quantum, and quantum±1 must reconstruct the merged record
 // sequence exactly.
 func TestInterleaveStreaming(t *testing.T) {
-	a := localityTrace("a", 300, 1)
-	b := localityTrace("b", 120, 2)
+	a, _ := localityTrace("a", 300, 1)
+	b, _ := localityTrace("b", 120, 2)
 	const quantum = 64
 	merged := Interleave("mix", quantum, a, b)
-	pt := Pack(merged)
+	want := recordsOf(merged)
+	pt := merged.Packed()
 	for _, chunk := range []int{1, quantum - 1, quantum, quantum + 1, merged.Len()} {
 		got := drainSource(t, pt.Blocks(chunk))
 		if len(got) != merged.Len() {
 			t.Fatalf("chunk=%d: drained %d records, want %d", chunk, len(got), merged.Len())
 		}
 		for i, r := range got {
-			if r != merged.At(i) {
-				t.Fatalf("chunk=%d: record %d = %v, want %v", chunk, i, r, merged.At(i))
+			if r != want[i] {
+				t.Fatalf("chunk=%d: record %d = %v, want %v", chunk, i, r, want[i])
 			}
 		}
 	}
@@ -301,7 +322,7 @@ func TestInterleaveStreaming(t *testing.T) {
 		}
 		got := drainSource(t, br)
 		for i, r := range got {
-			if r != merged.At(i) {
+			if r != want[i] {
 				t.Fatalf("disk chunk=%d: record %d mismatch", chunk, i)
 			}
 		}
@@ -312,7 +333,7 @@ func TestInterleaveEmptyInput(t *testing.T) {
 	if got := Interleave("none", 4); got.Len() != 0 || got.Name() != "none" {
 		t.Errorf("Interleave() = %d records, name %q", got.Len(), got.Name())
 	}
-	got := drainSource(t, Pack(Interleave("none", 4)).Blocks(8))
+	got := drainSource(t, Interleave("none", 4).Packed().Blocks(8))
 	if len(got) != 0 {
 		t.Errorf("streaming an empty interleave yielded %d records", len(got))
 	}
@@ -326,8 +347,8 @@ func TestBlockBytes(t *testing.T) {
 }
 
 func TestAssemblePackedRoundTrip(t *testing.T) {
-	tr := localityTrace("as", 257, 9)
-	pt := Pack(tr)
+	tr, _ := localityTrace("as", 257, 9)
+	pt := tr.Packed()
 	got, err := AssemblePacked(pt.Name(), pt.Addrs(), pt.IDs(), pt.TakenWords(), pt.BackwardWords())
 	if err != nil {
 		t.Fatal(err)
@@ -378,18 +399,47 @@ func TestAssemblePackedRejectsMalformed(t *testing.T) {
 }
 
 func TestFromPackedSeedsMemo(t *testing.T) {
-	tr := localityTrace("fp", 100, 4)
-	pt := Pack(tr)
+	tr, recs := localityTrace("fp", 100, 4)
+	pt := tr.Packed()
 	got := FromPacked(pt)
 	if got.Len() != tr.Len() || got.Name() != tr.Name() {
 		t.Fatalf("FromPacked: %d records, name %q", got.Len(), got.Name())
 	}
-	for i := range tr.Records() {
-		if got.At(i) != tr.At(i) {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
 	if got.Packed() != pt {
 		t.Error("FromPacked should seed the Packed memo with the given view")
+	}
+	if !reflect.DeepEqual(recordsOf(got), recs) {
+		t.Error("FromPacked trace reads back different records")
+	}
+}
+
+// fromPackedSink keeps FromPacked's result on the heap, as a real
+// caller's would be, so the allocation measurements see it.
+var fromPackedSink *Trace
+
+// TestFromPackedNoCopy pins that wrapping a loaded view costs the same at
+// any length: FromPacked materializes no records, so both its allocation
+// count and its allocated bytes are independent of the record count.
+func TestFromPackedNoCopy(t *testing.T) {
+	measure := func(n int) (allocs float64, bytes uint64) {
+		tr, _ := localityTrace("nc", n, 5)
+		pt := tr.Packed()
+		allocs = testing.AllocsPerRun(10, func() { fromPackedSink = FromPacked(pt) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 10 {
+			fromPackedSink = FromPacked(pt)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 10
+	}
+	smallAllocs, smallBytes := measure(1_000)
+	largeAllocs, largeBytes := measure(1_000_000)
+	if smallAllocs != largeAllocs {
+		t.Errorf("FromPacked allocations: %v at 1k records, %v at 1M", smallAllocs, largeAllocs)
+	}
+	if largeBytes > 1024 {
+		t.Errorf("FromPacked allocates %d bytes per call at 1M records (%d at 1k), want no per-record copy",
+			largeBytes, smallBytes)
 	}
 }

@@ -82,7 +82,7 @@ func readUvarint(br *bufio.Reader) (uint64, error) {
 	for i := 0; ; i++ {
 		b, err := br.ReadByte()
 		if err != nil {
-			return 0, err
+			return 0, unexpectedEOF(err)
 		}
 		if b < 0x80 {
 			if i > 0 && b == 0 {
@@ -99,6 +99,17 @@ func readUvarint(br *bufio.Reader) (uint64, error) {
 		x |= uint64(b&0x7f) << s
 		s += 7
 	}
+}
+
+// unexpectedEOF maps io.EOF to io.ErrUnexpectedEOF. Every read after the
+// magic has a length the stream itself promised (name length, record
+// count), so running out of bytes there is a truncation, never a clean
+// end of stream.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // readHeader consumes the magic, name, and record count that start every
@@ -120,7 +131,7 @@ func readHeader(br *bufio.Reader) (name string, count uint64, err error) {
 	}
 	nameBuf := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return "", 0, fmt.Errorf("trace: reading name: %w", err)
+		return "", 0, fmt.Errorf("trace: reading name: %w", unexpectedEOF(err))
 	}
 	count, err = readUvarint(br)
 	if err != nil {
@@ -129,9 +140,19 @@ func readHeader(br *bufio.Reader) (name string, count uint64, err error) {
 	return string(nameBuf), count, nil
 }
 
-// readRecord decodes one record given the previous record's PC, enforcing
-// the canonical-encoding rules.
-func readRecord(br *bufio.Reader, prev Addr) (Record, error) {
+// readRecord decodes record i given the previous record's PC, enforcing
+// the canonical-encoding rules. Both decoders (Read and ReadBlocks) share
+// it, so they report a bad stream with the same error text.
+func readRecord(br *bufio.Reader, i uint64, prev Addr) (Record, error) {
+	rec, err := decodeRecord(br, prev)
+	if err != nil {
+		return Record{}, fmt.Errorf("trace: record %d: %w", i, err)
+	}
+	return rec, nil
+}
+
+// decodeRecord is readRecord without the record-index context.
+func decodeRecord(br *bufio.Reader, prev Addr) (Record, error) {
 	hdr, err := readUvarint(br)
 	if err != nil {
 		return Record{}, fmt.Errorf("header: %w", err)
@@ -166,8 +187,10 @@ func readRecord(br *bufio.Reader, prev Addr) (Record, error) {
 	return rec, nil
 }
 
-// Write encodes the trace to w in the binary format.
+// Write encodes the trace to w in the binary format, from its packed
+// columns (packing the trace if it is not packed yet).
 func (t *Trace) Write(w io.Writer) error {
+	p := t.Packed()
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -184,11 +207,12 @@ func (t *Trace) Write(w io.Writer) error {
 	if _, err := bw.WriteString(t.name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.records))); err != nil {
+	if err := putUvarint(uint64(p.Len())); err != nil {
 		return err
 	}
 	prev := Addr(0)
-	for _, r := range t.records {
+	for i := range p.Len() {
+		r := p.Record(i)
 		hdr := uint64(0)
 		if r.Taken {
 			hdr |= flagTaken
@@ -212,7 +236,7 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read decodes a trace from r, materializing every record in memory.
+// Read decodes a trace from r into a new in-memory trace.
 // Arbitrarily long on-disk traces should stream through ReadBlocks
 // instead. The header's record count is treated as a claim,
 // not a budget: preallocation is capped (readPrealloc) and the record
@@ -226,9 +250,9 @@ func Read(r io.Reader) (*Trace, error) {
 	t := New(name, int(min(count, readPrealloc)))
 	prev := Addr(0)
 	for i := uint64(0); i < count; i++ {
-		rec, err := readRecord(br, prev)
+		rec, err := readRecord(br, i, prev)
 		if err != nil {
-			return nil, fmt.Errorf("trace: record %d: %w", i, err)
+			return nil, err
 		}
 		prev = rec.PC
 		t.Append(rec)

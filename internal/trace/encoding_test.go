@@ -126,8 +126,8 @@ func TestReadRejectsAliasedDelta(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical wraparound spelling rejected: %v", err)
 	}
-	if got.At(1).PC != 0xFFFFFFFF {
-		t.Errorf("PC = %#x", uint32(got.At(1).PC))
+	if pc := got.Packed().Record(1).PC; pc != 0xFFFFFFFF {
+		t.Errorf("PC = %#x", uint32(pc))
 	}
 }
 
@@ -176,7 +176,7 @@ func TestScannerHeaderErrors(t *testing.T) {
 func TestEncodingCanonical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 50; iter++ {
-		tr := localityTrace("canon", rng.Intn(2000), rng.Int63())
+		tr, _ := localityTrace("canon", rng.Intn(2000), rng.Int63())
 		var buf bytes.Buffer
 		if err := tr.Write(&buf); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 //     for record on every accepted input, so the two decoders cannot
 //     drift.
 func FuzzTraceRead(f *testing.F) {
-	tr := localityTrace("seed", 300, 17)
+	tr, _ := localityTrace("seed", 300, 17)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		f.Fatal(err)
@@ -60,8 +60,9 @@ func FuzzTraceRead(f *testing.F) {
 		if len(got) != tr.Len() {
 			t.Fatalf("ReadBlocks decoded %d/%d records", len(got), tr.Len())
 		}
+		want := recordsOf(tr)
 		for i, r := range got {
-			if r != tr.At(i) {
+			if r != want[i] {
 				t.Fatalf("ReadBlocks record %d diverges from Read", i)
 			}
 		}
@@ -71,7 +72,7 @@ func FuzzTraceRead(f *testing.F) {
 // FuzzReadBlocks pins the streaming block decoder against Read: both
 // must accept/reject the same inputs and reconstruct the same records.
 func FuzzReadBlocks(f *testing.F) {
-	tr := localityTrace("seed", 200, 5)
+	tr, _ := localityTrace("seed", 200, 5)
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		f.Fatal(err)
@@ -84,7 +85,11 @@ func FuzzReadBlocks(f *testing.F) {
 		if chunk <= 0 || chunk > 1<<16 {
 			chunk = 64
 		}
-		want, wantErr := Read(bytes.NewReader(data))
+		tr, wantErr := Read(bytes.NewReader(data))
+		var want []Record
+		if wantErr == nil {
+			want = recordsOf(tr)
+		}
 		br, err := ReadBlocks(bytes.NewReader(data), chunk)
 		if err != nil {
 			if wantErr == nil {
@@ -102,7 +107,7 @@ func FuzzReadBlocks(f *testing.F) {
 			for i, id := range blk.IDs {
 				if wantErr == nil {
 					r := Record{PC: addrs[id], Taken: blk.Taken1(i) != 0, Backward: blk.Back1(i) != 0}
-					if pos+i >= want.Len() || r != want.At(pos+i) {
+					if pos+i >= len(want) || r != want[pos+i] {
 						t.Fatalf("streamed record %d diverges from Read", pos+i)
 					}
 				}

@@ -16,20 +16,19 @@ func Interleave(name string, quantum int, traces ...*Trace) *Trace {
 	if len(traces) == 0 {
 		return New(name, 0)
 	}
+	views := make([]*Packed, len(traces))
 	total := 0
-	for _, t := range traces {
+	for i, t := range traces {
+		views[i] = t.Packed()
 		total += t.Len()
 	}
 	out := New(name, total)
 	offsets := make([]int, len(traces))
 	for out.Len() < total {
-		for i, t := range traces {
-			end := offsets[i] + quantum
-			if end > t.Len() {
-				end = t.Len()
-			}
+		for i, p := range views {
+			end := min(offsets[i]+quantum, p.Len())
 			for ; offsets[i] < end; offsets[i]++ {
-				out.Append(t.At(offsets[i]))
+				out.Append(p.Record(offsets[i]))
 			}
 		}
 	}

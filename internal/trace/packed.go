@@ -6,9 +6,10 @@ import (
 	"branchcorr/internal/obs"
 )
 
-// Packed is a columnar (structure-of-arrays) view of a Trace, built once
-// and shared by analyses whose inner loops would otherwise pay per-record
-// struct loads and per-address map lookups:
+// Packed is the columnar (structure-of-arrays) form of a trace, the one
+// form every analysis reads. It is built once per trace and shared, so
+// inner loops pay neither per-record struct loads nor per-address map
+// lookups:
 //
 //   - every static branch site is interned to a dense ID (first-appearance
 //     order), so per-branch state lives in flat slices indexed by ID
@@ -17,9 +18,9 @@ import (
 //     record, so direction tests are a shift and mask over cache-resident
 //     words.
 //
-// The view is immutable after Pack and safe for concurrent readers; the
-// experiment suite memoizes one Packed per trace (sync.Once) and hands it
-// to every oracle pass.
+// The view is immutable once built and safe for concurrent readers;
+// Trace.Packed builds it once per trace and hands the same view to every
+// consumer.
 type Packed struct {
 	name   string
 	ids    []int32 // dense branch ID per dynamic record
@@ -30,18 +31,17 @@ type Packed struct {
 	back   []uint64 // bit i = record i is a backward (loop-closing) branch
 }
 
-// Pack builds the columnar view of t in one linear pass. Dense IDs are
-// assigned in order of first appearance, so packing is deterministic for
-// a given trace. Every build is accounted into the default registry
-// (counter trace.pack.builds, span trace.pack), surfacing redundant
-// packing that the Trace.Packed memo exists to avoid.
-func Pack(t *Trace) *Packed {
+// pack builds the columnar view of recs in one linear pass; it runs
+// once per trace, at the first Trace.Packed call. Dense IDs are assigned
+// in order of first appearance, so packing is deterministic for a given
+// record sequence. Every build is accounted into the default registry
+// (counter trace.pack.builds, span trace.pack).
+func pack(name string, recs []Record) *Packed {
 	obs.Default().Counter("trace.pack.builds").Inc()
 	defer obs.Default().StartSpan("trace.pack").End()
-	recs := t.Records()
 	words := (len(recs) + 63) / 64
 	p := &Packed{
-		name:  t.Name(),
+		name:  name,
 		ids:   make([]int32, len(recs)),
 		idOf:  make(map[Addr]int32),
 		taken: make([]uint64, words),
@@ -69,11 +69,11 @@ func Pack(t *Trace) *Packed {
 
 // AssemblePacked reconstructs a Packed view from raw columns — the load
 // path of the on-disk corpus format, which persists exactly these
-// columns. It validates the shape Pack guarantees (every ID in range,
+// columns. It validates the shape packing guarantees (every ID in range,
 // IDs dense in first-appearance order, bitsets exactly sized with zero
 // tail padding, intern table duplicate-free) and rebuilds the derived
 // idOf map and per-ID counts, so an assembled view is indistinguishable
-// from one Pack built over the same records.
+// from one packed from the same records.
 func AssemblePacked(name string, addrs []Addr, ids []int32, taken, back []uint64) (*Packed, error) {
 	words := (len(ids) + 63) / 64
 	if len(taken) != words || len(back) != words {
@@ -122,11 +122,6 @@ func AssemblePacked(name string, addrs []Addr, ids []int32, taken, back []uint64
 
 // Name returns the source trace's name.
 func (p *Packed) Name() string { return p.name }
-
-// Packed returns the view itself, so a bare columnar view satisfies
-// interfaces keyed on a Packed() accessor (core.Source) interchangeably
-// with *Trace, whose Packed method memoizes this view.
-func (p *Packed) Packed() *Packed { return p }
 
 // Len returns the number of dynamic records.
 func (p *Packed) Len() int { return len(p.ids) }
@@ -179,8 +174,8 @@ func (p *Packed) Backward(i int) bool {
 	return p.back[i>>6]>>(uint(i)&63)&1 != 0
 }
 
-// Record reconstructs record i from the columns (the inverse of Pack,
-// used by tests and by consumers that need an occasional AoS view).
+// Record reconstructs record i from the columns (the inverse of
+// packing), for consumers that walk the trace as predict/update records.
 func (p *Packed) Record(i int) Record {
 	return Record{PC: p.addrs[p.ids[i]], Taken: p.Taken(i), Backward: p.Backward(i)}
 }

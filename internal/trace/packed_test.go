@@ -5,37 +5,37 @@ import (
 	"testing"
 )
 
-func packTestTrace() *Trace {
-	tr := New("packed", 0)
-	tr.Append(Record{PC: 0x400, Taken: true})
-	tr.Append(Record{PC: 0x404, Taken: false})
-	tr.Append(Record{PC: 0x400, Taken: false})
-	tr.Append(Record{PC: 0x408, Taken: true, Backward: true})
-	tr.Append(Record{PC: 0x404, Taken: true})
-	return tr
+var packTestRecords = []Record{
+	{PC: 0x400, Taken: true},
+	{PC: 0x404, Taken: false},
+	{PC: 0x400, Taken: false},
+	{PC: 0x408, Taken: true, Backward: true},
+	{PC: 0x404, Taken: true},
 }
+
+func packTestTrace() *Trace { return build("packed", packTestRecords) }
 
 func TestPackRoundTrip(t *testing.T) {
 	tr := packTestTrace()
-	p := Pack(tr)
+	p := tr.Packed()
 	if p.Name() != tr.Name() {
 		t.Errorf("Name = %q, want %q", p.Name(), tr.Name())
 	}
 	if p.Len() != tr.Len() {
 		t.Fatalf("Len = %d, want %d", p.Len(), tr.Len())
 	}
-	for i := 0; i < tr.Len(); i++ {
-		if got, want := p.Record(i), tr.At(i); got != want {
+	for i, want := range packTestRecords {
+		if got := p.Record(i); got != want {
 			t.Errorf("record %d: %v, want %v", i, got, want)
 		}
-		if p.Taken(i) != tr.At(i).Taken || p.Backward(i) != tr.At(i).Backward {
+		if p.Taken(i) != want.Taken || p.Backward(i) != want.Backward {
 			t.Errorf("record %d: bit columns disagree with record", i)
 		}
 	}
 }
 
 func TestPackDenseIDsFirstAppearance(t *testing.T) {
-	p := Pack(packTestTrace())
+	p := packTestTrace().Packed()
 	if p.NumBranches() != 3 {
 		t.Fatalf("NumBranches = %d, want 3", p.NumBranches())
 	}
@@ -62,34 +62,34 @@ func TestPackDenseIDsFirstAppearance(t *testing.T) {
 
 func TestPackLargeBitsets(t *testing.T) {
 	// Cross the 64-record word boundary and check every bit.
-	tr := New("big", 0)
-	for i := 0; i < 200; i++ {
-		tr.Append(Record{
+	recs := make([]Record, 200)
+	for i := range recs {
+		recs[i] = Record{
 			PC:       Addr(0x100 + 4*(i%7)),
 			Taken:    i%3 == 0,
 			Backward: i%5 == 0,
-		})
+		}
 	}
-	p := Pack(tr)
+	p := build("big", recs).Packed()
 	if p.NumBranches() != 7 {
 		t.Fatalf("NumBranches = %d, want 7", p.NumBranches())
 	}
-	for i := 0; i < tr.Len(); i++ {
-		if p.Record(i) != tr.At(i) {
+	for i, want := range recs {
+		if p.Record(i) != want {
 			t.Fatalf("record %d mismatch", i)
 		}
 	}
 }
 
 func TestPackEmptyTrace(t *testing.T) {
-	p := Pack(New("empty", 0))
+	p := New("empty", 0).Packed()
 	if p.Len() != 0 || p.NumBranches() != 0 {
 		t.Errorf("empty pack: len=%d branches=%d", p.Len(), p.NumBranches())
 	}
 }
 
 func TestPackCounts(t *testing.T) {
-	p := Pack(packTestTrace())
+	p := packTestTrace().Packed()
 	want := []int32{2, 2, 1} // 0x400 ×2, 0x404 ×2, 0x408 ×1, in ID order
 	counts := p.Counts()
 	if len(counts) != len(want) {
@@ -108,8 +108,8 @@ func TestPackCounts(t *testing.T) {
 }
 
 // TestTracePackedMemoized pins the memoized columnar view on Trace: the
-// same pointer comes back while the trace is unchanged, and appending
-// invalidates it so the next call re-packs with the new records.
+// same pointer comes back on every call, and the build buffer is gone
+// once the trace is packed.
 func TestTracePackedMemoized(t *testing.T) {
 	tr := packTestTrace()
 	p1 := tr.Packed()
@@ -117,38 +117,65 @@ func TestTracePackedMemoized(t *testing.T) {
 		t.Fatalf("Packed().Len = %d, want %d", p1.Len(), tr.Len())
 	}
 	if p2 := tr.Packed(); p2 != p1 {
-		t.Error("Packed() on an unchanged trace rebuilt the view")
+		t.Error("Packed() rebuilt the view")
 	}
-	tr.Append(Record{PC: 0x40c, Taken: true})
-	p3 := tr.Packed()
-	if p3 == p1 {
-		t.Fatal("Packed() after Append returned the stale view")
-	}
-	if p3.Len() != tr.Len() {
-		t.Errorf("re-packed Len = %d, want %d", p3.Len(), tr.Len())
-	}
-	if id, ok := p3.IDOf(0x40c); !ok || p3.AddrOf(id) != 0x40c {
-		t.Error("re-packed view is missing the appended branch")
+	if tr.records != nil {
+		t.Errorf("packed trace still holds %d buffered records", len(tr.records))
 	}
 }
 
-// TestTracePackedConcurrent hammers Packed() from many goroutines;
-// under -race this pins the mutex protecting the memo.
+// TestTraceAppendAfterPackedPanics pins that a packed trace is frozen:
+// the view is shared by every consumer, so appending to it is a bug.
+func TestTraceAppendAfterPackedPanics(t *testing.T) {
+	for name, tr := range map[string]*Trace{
+		"packed":      packTestTrace(),
+		"from-packed": FromPacked(packTestTrace().Packed()),
+	} {
+		tr.Packed()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Append after Packed did not panic", name)
+				}
+			}()
+			tr.Append(Record{PC: 0x40c, Taken: true})
+		}()
+		if tr.Len() != len(packTestRecords) {
+			t.Errorf("%s: Len = %d after the refused Append, want %d", name, tr.Len(), len(packTestRecords))
+		}
+	}
+}
+
+// TestTracePackedConcurrent hammers Packed() from many goroutines, with
+// Len and Name racing the first call; under -race this pins the mutex
+// protecting the memo and that Len never reads the released buffer.
 func TestTracePackedConcurrent(t *testing.T) {
 	tr := packTestTrace()
 	var wg sync.WaitGroup
 	views := make([]*Packed, 16)
+	lens := make([]int, 16)
 	for g := range views {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			if g%2 == 0 {
+				lens[g] = tr.Len()
+				_ = tr.Name()
+			}
 			views[g] = tr.Packed()
+			if g%2 == 1 {
+				lens[g] = tr.Len()
+				_ = tr.Name()
+			}
 		}(g)
 	}
 	wg.Wait()
-	for g := 1; g < len(views); g++ {
+	for g := range views {
 		if views[g] != views[0] {
 			t.Fatalf("goroutine %d saw a different packed view", g)
+		}
+		if lens[g] != len(packTestRecords) {
+			t.Fatalf("goroutine %d saw Len %d, want %d", g, lens[g], len(packTestRecords))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 )
 
@@ -16,6 +15,7 @@ import (
 type BlockReader struct {
 	br        *bufio.Reader
 	name      string
+	count     uint64
 	remaining uint64
 	prev      Addr
 	err       error
@@ -46,6 +46,7 @@ func ReadBlocks(r io.Reader, chunkLen int) (*BlockReader, error) {
 	return &BlockReader{
 		br:        br,
 		name:      name,
+		count:     count,
 		remaining: count,
 		chunk:     chunkLen,
 		idOf:      make(map[Addr]int32),
@@ -60,7 +61,7 @@ func (b *BlockReader) Name() string { return b.name }
 
 // Addrs implements BlockSource: the intern table covering every dense ID
 // decoded so far, in first-appearance order — the identical assignment
-// Pack makes over the same records.
+// packing makes over the same records.
 func (b *BlockReader) Addrs() []Addr { return b.addrs }
 
 // Err implements BlockSource.
@@ -81,10 +82,11 @@ func (b *BlockReader) Next() (Block, bool) {
 		b.taken[i] = 0
 		b.back[i] = 0
 	}
+	base := b.count - b.remaining
 	for i := 0; i < int(n); i++ {
-		rec, err := readRecord(b.br, b.prev)
+		rec, err := readRecord(b.br, base+uint64(i), b.prev)
 		if err != nil {
-			b.err = fmt.Errorf("trace: record %w", err)
+			b.err = err
 			return Block{}, false
 		}
 		b.prev = rec.PC

@@ -47,14 +47,19 @@ func (r Record) String() string {
 	return fmt.Sprintf("0x%x %s", uint32(r.PC), dir)
 }
 
-// Trace is an in-memory branch trace.
+// Trace is an in-memory branch trace. Its one analysis form is the
+// packed columns (see Packed). A trace is built by Append into a record
+// buffer, which the first Packed call packs once and releases; after
+// that the trace holds only the columns, and Append panics.
 type Trace struct {
-	name    string
-	records []Record
+	name string
+	n    int // records appended; written only by Append
 
-	// packMu guards packed, the memoized columnar view (see Packed).
-	packMu sync.Mutex
-	packed *Packed
+	// mu guards records, the build buffer, and packed, the columnar
+	// view that replaces it.
+	mu      sync.Mutex
+	records []Record
+	packed  *Packed
 }
 
 // New returns an empty trace with the given name (typically the workload
@@ -63,60 +68,44 @@ func New(name string, capacity int) *Trace {
 	return &Trace{name: name, records: make([]Record, 0, capacity)}
 }
 
-// FromRecords wraps an existing record slice in a Trace. The slice is not
-// copied.
-func FromRecords(name string, recs []Record) *Trace {
-	return &Trace{name: name, records: recs}
-}
-
-// FromPacked materializes a Trace from a columnar view and seeds the
-// trace's Packed memo with it, so consumers that load a pre-packed trace
-// (the corpus store's hit path) pay neither record re-interning nor
-// bitset reconstruction: the first Packed() call returns p itself.
+// FromPacked wraps a columnar view in a Trace without copying: the
+// first Packed() call returns p itself, so a consumer that loads a
+// pre-packed trace (the corpus store's hit path) pays neither record
+// materialization nor a packing pass.
 func FromPacked(p *Packed) *Trace {
-	recs := make([]Record, p.Len())
-	for i := range recs {
-		recs[i] = p.Record(i)
-	}
-	return &Trace{name: p.Name(), records: recs, packed: p}
+	return &Trace{name: p.Name(), n: p.Len(), packed: p}
 }
 
 // Name returns the trace's name.
 func (t *Trace) Name() string { return t.name }
 
 // Len returns the number of dynamic branches in the trace.
-func (t *Trace) Len() int { return len(t.records) }
+func (t *Trace) Len() int { return t.n }
 
-// At returns the i'th record.
-func (t *Trace) At(i int) Record { return t.records[i] }
-
-// Records exposes the underlying record slice for read-only iteration.
-// Callers must not modify it.
-func (t *Trace) Records() []Record { return t.records }
-
-// Append adds a record to the trace.
-func (t *Trace) Append(r Record) { t.records = append(t.records, r) }
-
-// Packed returns the memoized columnar view of the trace, building it on
-// the first call. Every consumer of the trace — the oracle kernels and
-// the sim fast path — shares one view, so interning and bitset
-// construction are paid once per trace. Safe for concurrent callers.
-// Appending after the view is built invalidates it: the next Packed call
-// re-packs (detected by length), but mutating a trace mid-analysis is
-// not supported.
-func (t *Trace) Packed() *Packed {
-	t.packMu.Lock()
-	defer t.packMu.Unlock()
-	reg := obs.Default()
-	reg.Counter("trace.pack.memo.calls").Inc()
-	if t.packed == nil || t.packed.Len() != len(t.records) {
-		reg.Counter("trace.pack.memo.misses").Inc()
-		t.packed = Pack(t)
+// Append adds a record to the trace's build buffer. It panics once the
+// trace has been packed: the packed view is immutable and shared.
+func (t *Trace) Append(r Record) {
+	if t.packed != nil {
+		panic("trace: Append after Packed")
 	}
-	return t.packed
+	t.records = append(t.records, r)
+	t.n++
 }
 
-// Slice returns a sub-trace view covering records [lo, hi).
-func (t *Trace) Slice(lo, hi int) *Trace {
-	return &Trace{name: t.name, records: t.records[lo:hi]}
+// Packed returns the trace's columnar view, packing the build buffer on
+// the first call and releasing it. Every consumer of the trace — the
+// sim engine, the oracle kernels, the summaries — shares one view, so
+// interning and bitset construction are paid once per trace. Safe for
+// concurrent callers.
+func (t *Trace) Packed() *Packed {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	reg := obs.Default()
+	reg.Counter("trace.pack.memo.calls").Inc()
+	if t.packed == nil {
+		reg.Counter("trace.pack.memo.misses").Inc()
+		t.packed = pack(t.name, t.records)
+		t.records = nil
+	}
+	return t.packed
 }

@@ -75,27 +75,37 @@ func (s *Stats) SortedSites() []*SiteStats {
 	return out
 }
 
-// Summarize computes summary statistics for a trace in one pass.
+// Summarize computes summary statistics for a trace in one pass over its
+// packed columns.
 func Summarize(t *Trace) *Stats {
-	st := &Stats{Name: t.Name(), Sites: make(map[Addr]*SiteStats)}
-	for _, r := range t.Records() {
-		st.Dynamic++
-		if r.Taken {
+	p := t.Packed()
+	st := &Stats{
+		Name:    t.Name(),
+		Dynamic: p.Len(),
+		Static:  p.NumBranches(),
+		Sites:   make(map[Addr]*SiteStats, p.NumBranches()),
+	}
+	sites := make([]SiteStats, p.NumBranches())
+	for id, pc := range p.Addrs() {
+		sites[id] = SiteStats{PC: pc, Count: int(p.Counts()[id])}
+	}
+	seen := int32(0)
+	for i, id := range p.IDs() {
+		if id == seen { // first occurrence: IDs are dense in first-appearance order
+			seen++
+			sites[id].Backward = p.Backward(i)
+		}
+		if p.Taken(i) {
 			st.Taken++
+			sites[id].Taken++
 		}
-		site := st.Sites[r.PC]
-		if site == nil {
-			site = &SiteStats{PC: r.PC, Backward: r.Backward}
-			st.Sites[r.PC] = site
-			st.Static++
-			if r.Backward {
-				st.BackwardSites++
-			}
+	}
+	for id := range sites {
+		site := &sites[id]
+		if site.Backward {
+			st.BackwardSites++
 		}
-		site.Count++
-		if r.Taken {
-			site.Taken++
-		}
+		st.Sites[site.PC] = site
 	}
 	return st
 }

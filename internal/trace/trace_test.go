@@ -36,24 +36,36 @@ func TestTraceBasics(t *testing.T) {
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
-	if tr.At(0).PC != 1 || !tr.At(0).Taken {
-		t.Errorf("At(0) = %+v", tr.At(0))
-	}
 	if tr.Name() != "x" {
 		t.Errorf("Name = %q", tr.Name())
 	}
-	sub := tr.Slice(1, 2)
-	if sub.Len() != 1 || sub.At(0).PC != 2 {
-		t.Errorf("Slice(1,2) = %+v", sub.Records())
+	want := []Record{{PC: 1, Taken: true}, {PC: 2}}
+	if got := recordsOf(tr); !reflect.DeepEqual(got, want) {
+		t.Errorf("records = %+v, want %+v", got, want)
+	}
+	if tr.Len() != 2 {
+		t.Errorf("Len after packing = %d, want 2", tr.Len())
 	}
 }
 
-func TestFromRecordsSharesSlice(t *testing.T) {
-	recs := []Record{{PC: 7, Taken: true}}
-	tr := FromRecords("w", recs)
-	if tr.Len() != 1 || tr.At(0).PC != 7 {
-		t.Fatalf("FromRecords mismatch: %+v", tr.Records())
+// build returns a trace of recs, appended one at a time as a generator
+// would.
+func build(name string, recs []Record) *Trace {
+	tr := New(name, len(recs))
+	for _, r := range recs {
+		tr.Append(r)
 	}
+	return tr
+}
+
+// recordsOf reads a trace back as records from its packed columns.
+func recordsOf(tr *Trace) []Record {
+	p := tr.Packed()
+	out := make([]Record, p.Len())
+	for i := range out {
+		out[i] = p.Record(i)
+	}
+	return out
 }
 
 func roundTrip(t *testing.T, tr *Trace) *Trace {
@@ -77,33 +89,34 @@ func TestEncodingRoundTripEmpty(t *testing.T) {
 }
 
 func TestEncodingRoundTripSmall(t *testing.T) {
-	tr := New("small", 0)
-	tr.Append(Record{PC: 0x4000, Taken: true})
-	tr.Append(Record{PC: 0x4000, Taken: false})
-	tr.Append(Record{PC: 0x3ff0, Taken: true, Backward: true}) // negative delta
-	tr.Append(Record{PC: 0xffffffff, Taken: false})            // large positive delta
-	got := roundTrip(t, tr)
-	if !reflect.DeepEqual(got.Records(), tr.Records()) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", got.Records(), tr.Records())
+	want := []Record{
+		{PC: 0x4000, Taken: true},
+		{PC: 0x4000, Taken: false},
+		{PC: 0x3ff0, Taken: true, Backward: true}, // negative delta
+		{PC: 0xffffffff, Taken: false},            // large positive delta
+	}
+	got := roundTrip(t, build("small", want))
+	if !reflect.DeepEqual(recordsOf(got), want) {
+		t.Errorf("round trip mismatch:\n got %v\nwant %v", recordsOf(got), want)
 	}
 }
 
 func TestEncodingRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tr := New("rand", 0)
 	pcs := []Addr{0x100, 0x104, 0x2000, 0xdeadbeef}
-	for i := 0; i < 5000; i++ {
-		tr.Append(Record{
+	want := make([]Record, 5000)
+	for i := range want {
+		want[i] = Record{
 			PC:       pcs[rng.Intn(len(pcs))],
 			Taken:    rng.Intn(2) == 0,
 			Backward: rng.Intn(4) == 0,
-		})
+		}
 	}
-	got := roundTrip(t, tr)
+	got := roundTrip(t, build("rand", want))
 	if got.Name() != "rand" {
 		t.Fatalf("name = %q", got.Name())
 	}
-	if !reflect.DeepEqual(got.Records(), tr.Records()) {
+	if !reflect.DeepEqual(recordsOf(got), want) {
 		t.Errorf("round trip mismatch on random trace")
 	}
 }
@@ -159,31 +172,23 @@ func TestZigzagProperty(t *testing.T) {
 // sequence survives encode/decode.
 func TestEncodingRoundTripProperty(t *testing.T) {
 	f := func(pcs []uint32, bits []byte) bool {
-		tr := New("q", len(pcs))
+		want := make([]Record, len(pcs))
 		for i, pc := range pcs {
 			var b byte
 			if i < len(bits) {
 				b = bits[i]
 			}
-			tr.Append(Record{PC: Addr(pc), Taken: b&1 != 0, Backward: b&2 != 0})
+			want[i] = Record{PC: Addr(pc), Taken: b&1 != 0, Backward: b&2 != 0}
 		}
 		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
+		if err := build("q", want).Write(&buf); err != nil {
 			return false
 		}
 		got, err := Read(&buf)
 		if err != nil {
 			return false
 		}
-		if got.Len() != tr.Len() {
-			return false
-		}
-		for i := range tr.Records() {
-			if got.At(i) != tr.At(i) {
-				return false
-			}
-		}
-		return true
+		return got.Len() == len(want) && (len(want) == 0 || reflect.DeepEqual(recordsOf(got), want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -15,6 +15,7 @@ package workloads
 
 import (
 	"fmt"
+	"os"
 	"sort"
 
 	"branchcorr/internal/trace"
@@ -79,6 +80,29 @@ func ByName(name string) (Workload, error) {
 	names := Names()
 	sort.Strings(names)
 	return nil, fmt.Errorf("workloads: unknown workload %q (have %v)", name, names)
+}
+
+// Load returns the trace a command's -trace FILE / -workload NAME flag
+// pair selects: the BTR1 file at path if one is given, otherwise the
+// named workload generated at n branches.
+func Load(path, name string, n int) (*trace.Trace, error) {
+	switch {
+	case path != "":
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return trace.Read(f)
+	case name != "":
+		w, err := ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		return w.Generate(n), nil
+	default:
+		return nil, fmt.Errorf("need -trace FILE or -workload NAME")
+	}
 }
 
 // Site is one static conditional-branch site of a workload.
