@@ -770,18 +770,6 @@ func benchSweepGrids() []struct {
 	for bits := uint(6); bits <= 17; bits++ {
 		bimodalBits = append(bimodalBits, bits)
 	}
-	var gasGeoms []bp.GAsGeom
-	for _, h := range []uint{6, 8, 10, 12} {
-		for _, a := range []uint{0, 4, 8} {
-			gasGeoms = append(gasGeoms, bp.GAsGeom{HistBits: h, AddrBits: a})
-		}
-	}
-	var pasGeoms []bp.PAsGeom
-	for _, h := range []uint{6, 8, 10, 12} {
-		for _, p := range []uint{0, 4, 8} {
-			pasGeoms = append(pasGeoms, bp.PAsGeom{HistBits: h, PHTBits: p})
-		}
-	}
 	hybridBits := make([]uint, 0, 12)
 	for bits := uint(8); bits <= 19; bits++ {
 		hybridBits = append(hybridBits, bits)
@@ -796,8 +784,6 @@ func benchSweepGrids() []struct {
 	}{
 		{"gshare-hist", func() bp.SweepGrid { return bp.NewGshareSweep(gshareBits) }},
 		{"bimodal-size", func() bp.SweepGrid { return bp.NewBimodalSweep(bimodalBits) }},
-		{"gas-geom", func() bp.SweepGrid { return bp.NewGAsSweep(gasGeoms) }},
-		{"pas-geom", func() bp.SweepGrid { return bp.NewPAsSweep(10, pasGeoms) }},
 		{"hybrid-gshare", func() bp.SweepGrid { return bp.NewHybridSweep(hybridBits, 12, 10) }},
 		{"ifgshare-hist", func() bp.SweepGrid { return bp.NewIFGshareSweep(ifBits) }},
 	}
@@ -816,9 +802,9 @@ func benchShardCounts() []int {
 }
 
 // assertFusedEngagement fails a sweep benchmark whose iterations left
-// the fused path: a silent fallback or degraded shard would publish
-// misleading throughput into BENCH_sweep.json. This is the loud half of
-// the bench-sweep differential gate.
+// the fused path: a silent fallback would publish misleading throughput
+// into BENCH_sweep.json. This is the loud half of the bench-sweep
+// differential gate.
 func assertFusedEngagement(b *testing.B, reg *obs.Registry, iters int64, shards int) {
 	b.Helper()
 	if got := reg.Counter("sim.sweep.runs.fused").Value(); got != iters {
@@ -826,9 +812,6 @@ func assertFusedEngagement(b *testing.B, reg *obs.Registry, iters int64, shards 
 	}
 	if got := reg.Counter("sim.sweep.runs.fallback").Value(); got != 0 {
 		b.Fatalf("fallback engine engaged %d times on a fused grid", got)
-	}
-	if got := reg.Counter("sim.sweep.shards.degraded").Value(); got != 0 {
-		b.Fatalf("%d shards degraded off the fused path", got)
 	}
 	if shards > 1 {
 		if got := reg.Counter("sim.sweep.runs.sharded").Value(); got != iters {

@@ -89,6 +89,10 @@ func run(o options) (err error) {
 	if flag.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (all options are flags)", flag.Arg(0))
 	}
+	want, err := wantExhibits(o.exhibits)
+	if err != nil {
+		return err
+	}
 
 	if o.cpuprofile != "" {
 		f, ferr := os.Create(o.cpuprofile)
@@ -159,10 +163,6 @@ func run(o options) (err error) {
 	}
 	cfg = suite.Config() // pick up the suite's defaults (fig9 benchmarks etc.)
 
-	want, err := wantExhibits(o.exhibits)
-	if err != nil {
-		return err
-	}
 	// fig9 needs gcc and perl unless overridden alongside -workloads.
 	if want["fig9"] && o.wls != "" && !suite.Fig9Available() {
 		fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
@@ -207,25 +207,20 @@ func writeMemProfile(path string) error {
 	return f.Close()
 }
 
-// wantExhibits parses the -exhibits flag into a set of canonical names;
-// "all" (or empty) selects every exhibit, unknown names error.
+// wantExhibits parses the -exhibits flag into a set of canonical names
+// through experiments.NormalizeExhibits; "all" (or empty) selects every
+// exhibit, unknown names error.
 func wantExhibits(spec string) (map[string]bool, error) {
-	want := map[string]bool{}
-	if spec == "all" || spec == "" {
-		for _, e := range experiments.ExhibitOrder() {
-			want[e] = true
-		}
-		return want, nil
+	var names []string
+	if spec != "all" && spec != "" {
+		names = strings.Split(spec, ",")
 	}
-	known := map[string]bool{}
-	for _, e := range experiments.ExhibitOrder() {
-		known[e] = true
+	names, err := experiments.NormalizeExhibits(names)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range strings.Split(spec, ",") {
-		e = strings.TrimSpace(e)
-		if !known[e] {
-			return nil, fmt.Errorf("unknown exhibit %q (have %s)", e, strings.Join(experiments.ExhibitOrder(), ","))
-		}
+	want := make(map[string]bool, len(names))
+	for _, e := range names {
 		want[e] = true
 	}
 	return want, nil

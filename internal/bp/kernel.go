@@ -3,12 +3,13 @@ package bp
 import "branchcorr/internal/trace"
 
 // This file is the columnar (batched) execution contract for the hot
-// predictor set. The scalar Predict/Update methods remain the executable
-// specification; a KernelPredictor additionally knows how to replay a
-// whole block of a packed trace through the identical state transition
-// without an interface call, a Record struct load, or a map lookup per
-// dynamic branch. The sim package dispatches to SimulateBlock when every
-// predictor in a run implements it; the bp conformance suite
+// predictor set. The scalar Predict/Update methods, replayed over a block
+// by Replay, remain the executable specification; a KernelPredictor
+// additionally knows how to replay a whole block of a packed trace
+// through the identical state transition without an interface call, a
+// Record struct load, or a map lookup per dynamic branch. The sim
+// package dispatches to SimulateBlock per predictor that implements it
+// and to Replay for the rest; the bp conformance suite
 // (kernel_test.go) pins each kernel bit-identical to its scalar
 // counterpart, including across interleaved scalar/kernel calls.
 
@@ -48,6 +49,30 @@ func (b KernelBlock) backBit(i int) uint64 {
 type KernelPredictor interface {
 	Predictor
 	SimulateBlock(blk KernelBlock, correct []int32) int
+}
+
+// Replay runs records [blk.Lo, blk.Hi) through p's scalar Predict/Update
+// loop on records rebuilt from the columns, with SimulateBlock's
+// accounting: 1 added to correct[id] per correct prediction of branch
+// id, the range's correct total returned. It is the one scalar
+// reference loop — the executable specification every kernel is pinned
+// against, and the engine for predictors without one.
+func Replay(p Predictor, blk KernelBlock, correct []int32) int {
+	c := 0
+	for i := blk.Lo; i < blk.Hi; i++ {
+		id := blk.IDs[i]
+		rec := trace.Record{
+			PC:       blk.Addrs[id],
+			Taken:    blk.takenBit(i) != 0,
+			Backward: blk.backBit(i) != 0,
+		}
+		if p.Predict(rec) == rec.Taken {
+			correct[id]++
+			c++
+		}
+		p.Update(rec)
+	}
+	return c
 }
 
 // counterNext is the 2-bit saturating counter transition indexed

@@ -8,14 +8,13 @@ import (
 
 // This file is the fused-sweep half of the columnar execution contract.
 // The paper's figures are parameter sweeps — history length, window
-// size, table geometry — and adjacent configurations of one predictor
+// size, table size — and adjacent configurations of one predictor
 // family differ only in index-hash width and table size, so a whole grid
 // can share one walk over the packed columns: the per-record work that
 // dominates a single-config kernel (ID load, outcome bit extract,
 // history shift, per-branch state fetch) is paid once per record instead
-// of once per record per config. A SweepKernel updates every config of
-// its grid from one KernelBlock; sim.SimulateSweep dispatches to it and
-// falls back to per-config simulation for grids without a fused kernel.
+// of once per record per config. A SweepGrid updates every config of
+// its grid from one KernelBlock; sim.SimulateSweep drives it.
 //
 // What is shared vs per-config, per family:
 //
@@ -25,15 +24,6 @@ import (
 //     the shared register's low bits. Per config: only the PHT.
 //   - BimodalSweep: the dense-ID walk and the per-ID address bits are
 //     shared; per config only the table size differs.
-//   - GAsSweep: the unmasked global history is shared as in gshare; each
-//     config's PHT-bank base recomputes from the shared per-ID address
-//     column as (pcx & addrMask_c) << histBits_c — two ALU ops, no
-//     per-config cached column.
-//   - PAsSweep: every config shares one BHT of unmasked per-address
-//     history registers (the grid is built at a fixed BHT size, so the
-//     address → register aliasing is identical across configs, and each
-//     config's masked local history is the shared register's low bits);
-//     bank bases recompute from pcx as in GAs.
 //
 // Execution is tiled to keep the sharing from fighting the cache: each
 // SweepBlock call walks its range in fixed-size tiles, a shared pass
@@ -57,14 +47,36 @@ import (
 // bound to the single trace or block stream it is simulating — exactly
 // like its trained counter state.
 
-// SweepGrid is a set of same-family predictor configurations simulated
-// together over one trace. ConfigNames and Configs use the same grid
-// order; Configs returns one independent scalar predictor per config —
-// the executable specification a fused kernel is pinned against by the
-// differential tests, and the engine sim.SimulateSweep drives when the
-// grid has no fused kernel. Fused grids construct the predictors fresh
-// (initial state, not a view of the fused state), so a run uses either
-// the fused kernel or the returned configs, never both.
+// SweepGrid is a set of predictor configurations simulated together
+// over one trace: the one batched contract for whole grids, as
+// KernelPredictor is for a single predictor.
+//
+// ConfigNames and Configs use the same grid order. Configs returns one
+// independent scalar predictor per config — the executable
+// specification SweepBlock is pinned against by the differential tests,
+// and what sim.SimulateSweep replays under ForceReference. Fused grids
+// construct the predictors fresh (initial state, not a view of the
+// fused state), so a run uses either SweepBlock or the returned
+// configs, never both.
+//
+// SweepBlock replays a block through every config of the grid at once.
+// It must be observationally identical, per config, to replaying the
+// block through that config's independent predictor: it adds config c's
+// correct-prediction count for the range to correct[c] (len(correct)
+// must be at least the config count; it only ever adds), and chunked
+// calls over adjacent ranges are equivalent to one full-range call.
+//
+// Shard returns the sub-grid covering configs [lo, hi) in grid order
+// (0 <= lo < hi <= config count, panicking otherwise), the unit of
+// config-sharded parallel sweeps. Configs of one grid share no counter
+// state, so per-config counts compose exactly: running Shard(0,k) and
+// Shard(k,n) over the same record stream produces, config for config,
+// the counts the whole grid would. For the fused parameter grids the
+// sub-grid is a freshly initialized instance over the parameter subset —
+// shard a grid before replaying any records through it. PredictorGrid
+// is the exception: its configs ARE the held instances, so its shards
+// are views sharing those instances, and composition holds because
+// shard ranges are disjoint.
 type SweepGrid interface {
 	// GridName names the grid (family and span) for results and metrics.
 	GridName() string
@@ -73,38 +85,10 @@ type SweepGrid interface {
 	// Configs returns the per-config independent predictors, in grid
 	// order.
 	Configs() []Predictor
-}
-
-// SweepKernel is a SweepGrid with a fused columnar kernel: one call
-// replays a block through every config of the grid at once. SweepBlock
-// must be observationally identical, per config, to replaying the block
-// through that config's independent predictor: it adds config c's
-// correct-prediction count for the range to correct[c] (len(correct)
-// must be at least the config count; the kernel only ever adds), and
-// chunked calls over adjacent ranges are equivalent to one full-range
-// call.
-type SweepKernel interface {
-	SweepGrid
-	SweepBlock(blk KernelBlock, correct []int32)
-}
-
-// SweepSharder is a SweepGrid that can split itself into independent
-// contiguous sub-grids, the unit of config-sharded parallel sweeps:
-// configs of one grid share no counter state, so per-config correct
-// counts compose exactly — running Shard(0,k) and Shard(k,n) over the
-// same record stream produces, config for config, the counts the whole
-// grid would.
-//
-// Shard returns the sub-grid covering configs [lo, hi) of the receiver
-// in grid order (0 <= lo < hi <= config count, panicking otherwise).
-// For the fused parameter grids the sub-grid is a freshly initialized
-// instance over the parameter subset — shard a grid before replaying
-// any records through it. PredictorGrid is the exception: its configs
-// ARE the held instances, so its shards are views sharing those
-// instances, and composition holds because shard ranges are disjoint.
-type SweepSharder interface {
-	SweepGrid
+	// Shard returns the sub-grid over configs [lo, hi).
 	Shard(lo, hi int) SweepGrid
+	// SweepBlock adds each config's correct count over blk to correct.
+	SweepBlock(blk KernelBlock, correct []int32)
 }
 
 // checkShardRange validates a Shard call against the config count.
@@ -224,14 +208,14 @@ func (g *GshareSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi).
 func (g *GshareSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
 	return NewGshareSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel. The shared pass pays the
+// SweepBlock implements SweepGrid. The shared pass pays the
 // per-record work once — ID load, outcome extract, key pcx^h, history
 // shift — and each config pair's replay of the staged tile is the
 // single-config kernel loop minus exactly that work.
@@ -352,14 +336,14 @@ func (g *BimodalSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the table
+// Shard implements SweepGrid: a fresh fused grid over the table
 // sizes [lo, hi).
 func (g *BimodalSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
 	return NewBimodalSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel.
+// SweepBlock implements SweepGrid.
 //
 //bplint:hot
 func (g *BimodalSweep) SweepBlock(blk KernelBlock, correct []int32) {
@@ -417,350 +401,13 @@ func (g *BimodalSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	}
 }
 
-// GAsGeom is one GAs sweep configuration: the global history length and
-// the PHT-select address width (NewGAs's two parameters).
-type GAsGeom struct {
-	HistBits uint
-	AddrBits uint
-}
-
-// GAsSweep is the fused GAs grid: one config per table geometry, all
-// sharing one unmasked global history register; each config's selected
-// PHT bank folds out of the shared per-ID address column in its replay
-// loop.
-type GAsSweep struct {
-	geoms   []GAsGeom
-	hmasks  []uint32     // per-config history mask
-	amasks  []uint32     // per-config PHT-select mask
-	hbits   []uint       // per-config bank shift (history bits)
-	phts    [][]Counter2 // one power-of-2 flat PHT bank per config
-	kmax    uint32       // widest config's history mask
-	history uint32
-	pcx     []uint32
-	scratch sweepScratch
-}
-
-// NewGAsSweep returns a fused grid of GAs configs, one per geometry
-// (each within NewGAs's hist [1,24] / addr [0,12] ranges), in argument
-// order.
-func NewGAsSweep(geoms []GAsGeom) *GAsSweep {
-	if len(geoms) == 0 {
-		panic("bp: GAs sweep needs at least one config")
-	}
-	hmasks := make([]uint32, len(geoms))
-	amasks := make([]uint32, len(geoms))
-	hbits := make([]uint, len(geoms))
-	phts := make([][]Counter2, len(geoms))
-	kmax := uint32(0)
-	for c, geo := range geoms {
-		if geo.HistBits == 0 || geo.HistBits > 24 {
-			panic(fmt.Sprintf("bp: GAs history bits %d out of range [1,24]", geo.HistBits))
-		}
-		if geo.AddrBits > 12 {
-			panic(fmt.Sprintf("bp: GAs address bits %d out of range [0,12]", geo.AddrBits))
-		}
-		hmasks[c] = 1<<geo.HistBits - 1
-		amasks[c] = 1<<geo.AddrBits - 1
-		hbits[c] = geo.HistBits
-		phts[c] = make([]Counter2, 1<<(geo.HistBits+geo.AddrBits))
-		kmax |= hmasks[c]
-	}
-	return &GAsSweep{
-		geoms:   append([]GAsGeom(nil), geoms...),
-		hmasks:  hmasks,
-		amasks:  amasks,
-		hbits:   hbits,
-		phts:    phts,
-		kmax:    kmax,
-		scratch: newSweepScratch(),
-	}
-}
-
-// GridName implements SweepGrid.
-func (g *GAsSweep) GridName() string {
-	return fmt.Sprintf("gas-geom(%d configs)", len(g.geoms))
-}
-
-// ConfigNames implements SweepGrid; names match NewGAs's.
-func (g *GAsSweep) ConfigNames() []string {
-	out := make([]string, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = fmt.Sprintf("GAs(%d,%d)", geo.HistBits, geo.AddrBits)
-	}
-	return out
-}
-
-// Configs implements SweepGrid.
-func (g *GAsSweep) Configs() []Predictor {
-	out := make([]Predictor, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = NewGAs(geo.HistBits, geo.AddrBits)
-	}
-	return out
-}
-
-// Shard implements SweepSharder: a fresh fused grid over the geometries
-// [lo, hi).
-func (g *GAsSweep) Shard(lo, hi int) SweepGrid {
-	checkShardRange(lo, hi, len(g.geoms))
-	return NewGAsSweep(g.geoms[lo:hi])
-}
-
-// SweepBlock implements SweepKernel. The staged key is the masked
-// global history; each config's replay folds its bank base out of the
-// shared address column ((pcx & addrMask) << histBits, disjoint from
-// the masked history bits, so | assembles the flat-bank slot — one
-// pcx load per record shared by the pair) and the final len-1 mask is
-// a semantic no-op that proves the slot in range.
-//
-//bplint:hot
-func (g *GAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.pcx = extendPcx(g.pcx, blk.Addrs)
-	pcx := g.pcx
-	phts := g.phts
-	hmasks := g.hmasks
-	amasks := g.amasks
-	hbits := g.hbits
-	correct = correct[:len(phts)]
-	kmax := g.kmax
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.scratch.kt
-	h := g.history
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			kk[i] = (h&kmax)<<1 | uint32(t)
-			h = h<<1 | uint32(t)
-			j++
-		}
-		c := 0
-		for ; c+2 <= len(phts); c += 2 {
-			t0, t1 := phts[c], phts[c+1]
-			l0 := uint32(len(t0) - 1)
-			l1 := uint32(len(t1) - 1)
-			h0, a0, b0 := hmasks[c], amasks[c], hbits[c]
-			h1, a1, b1 := hmasks[c+1], amasks[c+1], hbits[c+1]
-			var n0, n1 int32
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				hk := v >> 1
-				x := pcx[tids[i]]
-				s0 := ((x&a0)<<b0 | hk&h0) & l0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := ((x&a1)<<b1 | hk&h1) & l1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(phts); c++ {
-			tbl := phts[c]
-			lm := uint32(len(tbl) - 1)
-			hm, am, sh := hmasks[c], amasks[c], hbits[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				s := ((pcx[tids[i]]&am)<<sh | (v>>1)&hm) & lm
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
-	}
-	g.history = h
-}
-
-// PAsGeom is one PAs sweep configuration: the local history length and
-// the PHT-select address width. The BHT size is a property of the whole
-// grid (NewPAsSweep's bhtBits): sharing one table of history registers
-// requires every config to alias addresses onto registers identically.
-type PAsGeom struct {
-	HistBits uint
-	PHTBits  uint
-}
-
-// PAsSweep is the fused PAs grid: every config shares one BHT of
-// unmasked per-address history registers (each config's masked local
-// history is the shared register's low bits); bank bases fold out of
-// the shared address column as in GAs.
-type PAsSweep struct {
-	bhtBits uint
-	geoms   []PAsGeom
-	hmasks  []uint32
-	pmasks  []uint32
-	hbits   []uint
-	phts    [][]Counter2
-	kmax    uint32
-	bht     []uint32 // shared unmasked per-address local histories
-	pcx     []uint32
-	scratch sweepScratch
-}
-
-// NewPAsSweep returns a fused grid of PAs configs at a fixed BHT size
-// (bhtBits within NewPAs's [1,24] range), one config per geometry (hist
-// [1,24], pht [0,12]), in argument order.
-func NewPAsSweep(bhtBits uint, geoms []PAsGeom) *PAsSweep {
-	if bhtBits == 0 || bhtBits > 24 {
-		panic(fmt.Sprintf("bp: PAs BHT bits %d out of range [1,24]", bhtBits))
-	}
-	if len(geoms) == 0 {
-		panic("bp: PAs sweep needs at least one config")
-	}
-	hmasks := make([]uint32, len(geoms))
-	pmasks := make([]uint32, len(geoms))
-	hbits := make([]uint, len(geoms))
-	phts := make([][]Counter2, len(geoms))
-	kmax := uint32(0)
-	for c, geo := range geoms {
-		if geo.HistBits == 0 || geo.HistBits > 24 {
-			panic(fmt.Sprintf("bp: PAs history bits %d out of range [1,24]", geo.HistBits))
-		}
-		if geo.PHTBits > 12 {
-			panic(fmt.Sprintf("bp: PAs PHT-select bits %d out of range [0,12]", geo.PHTBits))
-		}
-		hmasks[c] = 1<<geo.HistBits - 1
-		pmasks[c] = 1<<geo.PHTBits - 1
-		hbits[c] = geo.HistBits
-		phts[c] = make([]Counter2, 1<<(geo.HistBits+geo.PHTBits))
-		kmax |= hmasks[c]
-	}
-	return &PAsSweep{
-		bhtBits: bhtBits,
-		geoms:   append([]PAsGeom(nil), geoms...),
-		hmasks:  hmasks,
-		pmasks:  pmasks,
-		hbits:   hbits,
-		phts:    phts,
-		kmax:    kmax,
-		bht:     make([]uint32, 1<<bhtBits),
-		pcx:     nil,
-		scratch: newSweepScratch(),
-	}
-}
-
-// GridName implements SweepGrid.
-func (g *PAsSweep) GridName() string {
-	return fmt.Sprintf("pas-geom(%d configs, bht %d)", len(g.geoms), g.bhtBits)
-}
-
-// ConfigNames implements SweepGrid; names match NewPAs's.
-func (g *PAsSweep) ConfigNames() []string {
-	out := make([]string, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = fmt.Sprintf("PAs(%d,%d,%d)", geo.HistBits, g.bhtBits, geo.PHTBits)
-	}
-	return out
-}
-
-// Configs implements SweepGrid.
-func (g *PAsSweep) Configs() []Predictor {
-	out := make([]Predictor, len(g.geoms))
-	for c, geo := range g.geoms {
-		out[c] = NewPAs(geo.HistBits, g.bhtBits, geo.PHTBits)
-	}
-	return out
-}
-
-// Shard implements SweepSharder: a fresh fused grid over the geometries
-// [lo, hi) at the same BHT size (each shard owns a private BHT, which is
-// exact: the registers are stream-determined, so every shard's BHT holds
-// identical values).
-func (g *PAsSweep) Shard(lo, hi int) SweepGrid {
-	checkShardRange(lo, hi, len(g.geoms))
-	return NewPAsSweep(g.bhtBits, g.geoms[lo:hi])
-}
-
-// SweepBlock implements SweepKernel. The shared pass fetches each
-// record's history register once, stages its pre-update value as the
-// key (every config trains its counter with the history as it stood
-// before the branch, the scalar PAs order), and shifts the register;
-// config replays then never touch the BHT.
-//
-//bplint:hot
-func (g *PAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
-	g.pcx = extendPcx(g.pcx, blk.Addrs)
-	pcx := g.pcx
-	phts := g.phts
-	hmasks := g.hmasks
-	pmasks := g.pmasks
-	hbits := g.hbits
-	correct = correct[:len(phts)]
-	kmax := g.kmax
-	bht := g.bht
-	bmask := uint32(len(bht) - 1)
-	taken := blk.Taken
-	ids := blk.IDs
-	kt := g.scratch.kt
-	for lo := blk.Lo; lo < blk.Hi; lo += sweepTile {
-		hi := min(lo+sweepTile, blk.Hi)
-		tids := ids[lo:hi]
-		kk := kt[:len(tids)]
-		j := lo
-		for i := range kk {
-			t := taken[j>>6] >> (uint(j) & 63) & 1
-			bi := pcx[tids[i]] & bmask
-			bh := bht[bi]
-			kk[i] = (bh&kmax)<<1 | uint32(t)
-			bht[bi] = bh<<1 | uint32(t)
-			j++
-		}
-		c := 0
-		for ; c+2 <= len(phts); c += 2 {
-			t0, t1 := phts[c], phts[c+1]
-			l0 := uint32(len(t0) - 1)
-			l1 := uint32(len(t1) - 1)
-			h0, p0, b0 := hmasks[c], pmasks[c], hbits[c]
-			h1, p1, b1 := hmasks[c+1], pmasks[c+1], hbits[c+1]
-			var n0, n1 int32
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				bh := v >> 1
-				x := pcx[tids[i]]
-				s0 := ((x&p0)<<b0 | bh&h0) & l0
-				x0 := sweepStep[t0[s0]<<1|t]
-				n0 += int32(x0 & 1)
-				t0[s0] = Counter2(x0 >> 1)
-				s1 := ((x&p1)<<b1 | bh&h1) & l1
-				x1 := sweepStep[t1[s1]<<1|t]
-				n1 += int32(x1 & 1)
-				t1[s1] = Counter2(x1 >> 1)
-			}
-			correct[c] += n0
-			correct[c+1] += n1
-		}
-		for ; c < len(phts); c++ {
-			tbl := phts[c]
-			lm := uint32(len(tbl) - 1)
-			hm, pm, sh := hmasks[c], pmasks[c], hbits[c]
-			n := int32(0)
-			for i, v := range kk {
-				t := Counter2(v & 1)
-				s := ((pcx[tids[i]]&pm)<<sh | (v>>1)&hm) & lm
-				x := sweepStep[tbl[s]<<1|t]
-				n += int32(x & 1)
-				tbl[s] = Counter2(x >> 1)
-			}
-			correct[c] += n
-		}
-	}
-}
-
 // PredictorGrid adapts arbitrary predictor instances to the SweepGrid
-// contract. It has no fused kernel: sim.SimulateSweep drives the held
-// instances through its per-config fallback engine — still one logical
-// sweep call (and, streamed, one pass over the blocks) for a whole
-// figure, which is how exhibits over non-kernel predictors (Figure 5's
-// selective-history windows) join the fused-sweep pipeline.
+// contract. It has no fused kernel: SweepBlock replays the block through
+// each held instance on that instance's own path — its columnar kernel
+// when it implements KernelPredictor, the scalar Replay loop otherwise.
+// A whole grid is still one sweep call (bpsimd's specs family), and
+// sim.SimulateSweep runs ForceReference sweeps as a PredictorGrid over
+// a grid's Configs with their kernels hidden.
 type PredictorGrid struct {
 	name  string
 	preds []Predictor
@@ -791,7 +438,7 @@ func (g *PredictorGrid) ConfigNames() []string {
 // Configs implements SweepGrid.
 func (g *PredictorGrid) Configs() []Predictor { return g.preds }
 
-// Shard implements SweepSharder as a view over the held instances
+// Shard implements SweepGrid as a view over the held instances
 // [lo, hi) — NOT a fresh copy, because the instances are the configs
 // (see NewPredictorGrid). Sharded execution stays exact as long as each
 // instance is replayed by exactly one shard, which disjoint ranges
@@ -804,15 +451,23 @@ func (g *PredictorGrid) Shard(lo, hi int) SweepGrid {
 	}
 }
 
+// SweepBlock implements SweepGrid: one config after another, each on
+// its own engine.
+func (g *PredictorGrid) SweepBlock(blk KernelBlock, correct []int32) {
+	perID := make([]int32, len(blk.Addrs)) // shared by the configs; only the totals matter
+	for c, p := range g.preds {
+		var n int
+		if k, ok := p.(KernelPredictor); ok {
+			n = k.SimulateBlock(blk, perID)
+		} else {
+			n = Replay(p, blk, perID)
+		}
+		correct[c] += int32(n)
+	}
+}
+
 var (
-	_ SweepKernel  = (*GshareSweep)(nil)
-	_ SweepKernel  = (*BimodalSweep)(nil)
-	_ SweepKernel  = (*GAsSweep)(nil)
-	_ SweepKernel  = (*PAsSweep)(nil)
-	_ SweepGrid    = (*PredictorGrid)(nil)
-	_ SweepSharder = (*GshareSweep)(nil)
-	_ SweepSharder = (*BimodalSweep)(nil)
-	_ SweepSharder = (*GAsSweep)(nil)
-	_ SweepSharder = (*PAsSweep)(nil)
-	_ SweepSharder = (*PredictorGrid)(nil)
+	_ SweepGrid = (*GshareSweep)(nil)
+	_ SweepGrid = (*BimodalSweep)(nil)
+	_ SweepGrid = (*PredictorGrid)(nil)
 )

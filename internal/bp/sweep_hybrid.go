@@ -109,7 +109,7 @@ func (g *HybridSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the gshare
+// Shard implements SweepGrid: a fresh fused grid over the gshare
 // history lengths [lo, hi) (each shard owns a private bimodal table,
 // which is exact: the bimodal component is stream-determined).
 func (g *HybridSweep) Shard(lo, hi int) SweepGrid {
@@ -117,7 +117,7 @@ func (g *HybridSweep) Shard(lo, hi int) SweepGrid {
 	return NewHybridSweep(g.gbits[lo:hi], g.bimodalBits, g.chooserBits)
 }
 
-// SweepBlock implements SweepKernel.
+// SweepBlock implements SweepGrid.
 //
 //bplint:hot
 func (g *HybridSweep) SweepBlock(blk KernelBlock, correct []int32) {
@@ -176,7 +176,4 @@ func (g *HybridSweep) SweepBlock(blk KernelBlock, correct []int32) {
 	g.history = h
 }
 
-var (
-	_ SweepKernel  = (*HybridSweep)(nil)
-	_ SweepSharder = (*HybridSweep)(nil)
-)
+var _ SweepGrid = (*HybridSweep)(nil)

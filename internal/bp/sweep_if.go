@@ -102,14 +102,14 @@ func (g *IFGshareSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi).
 func (g *IFGshareSweep) Shard(lo, hi int) SweepGrid {
 	checkShardRange(lo, hi, len(g.bits))
 	return NewIFGshareSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel. The shared pass stages the
+// SweepBlock implements SweepGrid. The shared pass stages the
 // unmasked history and outcome per record and advances the register;
 // each config's replay is the scalar loop minus the history update, one
 // map read-modify-write per record through the sweepStep LUT.
@@ -213,7 +213,7 @@ func (g *IFPAsSweep) Configs() []Predictor {
 	return out
 }
 
-// Shard implements SweepSharder: a fresh fused grid over the history
+// Shard implements SweepGrid: a fresh fused grid over the history
 // lengths [lo, hi) (each shard owns a private register file, which is
 // exact: the registers are stream-determined).
 func (g *IFPAsSweep) Shard(lo, hi int) SweepGrid {
@@ -221,7 +221,7 @@ func (g *IFPAsSweep) Shard(lo, hi int) SweepGrid {
 	return NewIFPAsSweep(g.bits[lo:hi])
 }
 
-// SweepBlock implements SweepKernel. The shared pass fetches each
+// SweepBlock implements SweepGrid. The shared pass fetches each
 // record's register once, stages its pre-update value (every config
 // trains with the history as it stood before the branch, the scalar
 // IF-PAs order), and shifts the register.
@@ -273,8 +273,6 @@ func (g *IFPAsSweep) SweepBlock(blk KernelBlock, correct []int32) {
 }
 
 var (
-	_ SweepKernel  = (*IFGshareSweep)(nil)
-	_ SweepKernel  = (*IFPAsSweep)(nil)
-	_ SweepSharder = (*IFGshareSweep)(nil)
-	_ SweepSharder = (*IFPAsSweep)(nil)
+	_ SweepGrid = (*IFGshareSweep)(nil)
+	_ SweepGrid = (*IFPAsSweep)(nil)
 )

@@ -1,4 +1,4 @@
-// Shard-composition suite for the SweepSharder contract: a grid's
+// Shard-composition suite for SweepGrid.Shard: a grid's
 // configs share no counter state, so replaying the trace through the
 // shards of any contiguous partition must reproduce, per config, the
 // exact counts of the unsharded replay — the invariant the sim
@@ -6,7 +6,6 @@
 package bp_test
 
 import (
-	"fmt"
 	"testing"
 
 	"branchcorr/internal/bp"
@@ -31,9 +30,9 @@ func shardRanges(n, k int) [][2]int {
 	return out
 }
 
-// TestSweepShardComposition pins, for every fused family, that each
-// shard of every partition is itself a fused kernel whose totals and
-// config names equal the matching slice of the full grid's.
+// TestSweepShardComposition pins, for every grid, that each shard of
+// every partition has totals and config names equal to the matching
+// slice of the full grid's.
 func TestSweepShardComposition(t *testing.T) {
 	tr := kernelRandomTrace(29, 20_000)
 	pt := tr.Packed()
@@ -45,11 +44,7 @@ func TestSweepShardComposition(t *testing.T) {
 		for _, k := range []int{1, 2, 3, n} {
 			for _, r := range shardRanges(n, k) {
 				lo, hi := r[0], r[1]
-				sub := mk().(bp.SweepSharder).Shard(lo, hi)
-				kernel, ok := sub.(bp.SweepKernel)
-				if !ok {
-					t.Fatalf("%s: shard [%d,%d) is not a fused kernel", family, lo, hi)
-				}
+				sub := mk().Shard(lo, hi)
 				subNames := sub.ConfigNames()
 				for c := range subNames {
 					if subNames[c] != names[lo+c] {
@@ -57,7 +52,7 @@ func TestSweepShardComposition(t *testing.T) {
 							family, lo, hi, c, subNames[c], names[lo+c])
 					}
 				}
-				got := sweepTotals(kernel, pt, 1000)
+				got := sweepTotals(sub, pt, 1000)
 				for c := range got {
 					if got[c] != want[lo+c] {
 						t.Errorf("%s shard [%d,%d): config %s: %d correct vs %d unsharded",
@@ -70,7 +65,7 @@ func TestSweepShardComposition(t *testing.T) {
 }
 
 // TestSweepShardRangeValidation pins the loud failure on malformed
-// ranges for every sharder.
+// ranges for every grid.
 func TestSweepShardRangeValidation(t *testing.T) {
 	for family, mk := range allSweepGrids() {
 		n := len(mk().ConfigNames())
@@ -83,13 +78,13 @@ func TestSweepShardRangeValidation(t *testing.T) {
 						t.Error("Shard did not panic")
 					}
 				}()
-				mk().(bp.SweepSharder).Shard(r[0], r[1])
+				mk().Shard(r[0], r[1])
 			})
 		}
 	}
 }
 
-// TestPredictorGridShardSharesInstances pins the fallback grid's shard
+// TestPredictorGridShardSharesInstances pins the per-config grid's shard
 // semantics: the shard is a view over the SAME held predictor
 // instances (they carry the simulation state the caller composed), not
 // fresh copies, under a range-suffixed name.
@@ -103,43 +98,5 @@ func TestPredictorGridShardSharesInstances(t *testing.T) {
 	sp := sub.Configs()
 	if len(sp) != 2 || sp[0] != preds[1] || sp[1] != preds[2] {
 		t.Error("PredictorGrid shard must return views over the held instances")
-	}
-	if _, ok := sub.(bp.SweepKernel); ok {
-		t.Error("PredictorGrid shard must not claim a fused kernel")
-	}
-}
-
-// kernelOnly hides a fused grid's Shard method, modelling a future
-// SweepKernel that has not implemented SweepSharder.
-type kernelOnly struct{ bp.SweepKernel }
-
-// TestConcatSweepShardDegradation pins ConcatSweep's fallback: a
-// sub-range overlapping a non-shardable part degrades — whole — to a
-// PredictorGrid over the matching Configs slice (still exact, just
-// unfused), while ranges within shardable parts stay fused.
-func TestConcatSweepShardDegradation(t *testing.T) {
-	g := bp.NewConcatSweep("deg",
-		bp.NewGshareSweep([]uint{4, 6}),
-		kernelOnly{bp.NewBimodalSweep([]uint{5, 7})},
-	)
-	names := g.ConfigNames()
-
-	// Overlapping the kernel-only part: degraded, names preserved.
-	sub := g.Shard(1, 3)
-	if _, ok := sub.(bp.SweepKernel); ok {
-		t.Error("shard overlapping a non-sharder part must not be fused")
-	}
-	if got := sub.ConfigNames(); fmt.Sprint(got) != fmt.Sprint(names[1:3]) {
-		t.Errorf("degraded shard names %v, want %v", got, names[1:3])
-	}
-
-	// Entirely within the sharder part: fused (the single part is
-	// returned directly).
-	sub = g.Shard(0, 2)
-	if _, ok := sub.(bp.SweepKernel); !ok {
-		t.Error("shard within the sharder part must stay fused")
-	}
-	if got := sub.ConfigNames(); fmt.Sprint(got) != fmt.Sprint(names[0:2]) {
-		t.Errorf("fused shard names %v, want %v", got, names[0:2])
 	}
 }

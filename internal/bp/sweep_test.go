@@ -1,9 +1,9 @@
-// Conformance suite for the fused-sweep contract: every SweepKernel
-// must be a bit-identical replacement, per config, for replaying the
-// trace through that config's independent scalar predictor — across
-// randomized traces, grid shapes, and arbitrary block boundaries. This
-// is the bp-side half of the equivalence guarantee sim.SimulateSweep's
-// fused path rests on.
+// Conformance suite for the sweep-grid contract: every SweepGrid's
+// SweepBlock must be a bit-identical replacement, per config, for
+// replaying the trace through that config's independent scalar
+// predictor — across randomized traces, grid shapes, and arbitrary block
+// boundaries. This is the bp-side half of the equivalence guarantee
+// sim.SimulateSweep rests on.
 package bp_test
 
 import (
@@ -17,43 +17,18 @@ import (
 // to stress the sharing tricks: tiny tables that alias hard, mixed
 // geometries (including 0-bit bank selects), and config orders that are
 // not monotone in table size.
-func sweepGrids() map[string]func() bp.SweepKernel {
-	return map[string]func() bp.SweepKernel{
-		"gshare": func() bp.SweepKernel {
+func sweepGrids() map[string]func() bp.SweepGrid {
+	return map[string]func() bp.SweepGrid{
+		"gshare": func() bp.SweepGrid {
 			return bp.NewGshareSweep([]uint{1, 2, 5, 8, 11, 14, 16})
 		},
-		"bimodal": func() bp.SweepKernel {
+		"bimodal": func() bp.SweepGrid {
 			return bp.NewBimodalSweep([]uint{12, 1, 3, 6, 8, 10})
-		},
-		"gas": func() bp.SweepKernel {
-			return bp.NewGAsSweep([]bp.GAsGeom{
-				{HistBits: 1, AddrBits: 0}, {HistBits: 4, AddrBits: 2},
-				{HistBits: 6, AddrBits: 4}, {HistBits: 8, AddrBits: 0},
-				{HistBits: 10, AddrBits: 6}, {HistBits: 12, AddrBits: 2},
-			})
-		},
-		// 4-bit BHT: the 60 random sites alias ~4 per register, so the
-		// shared-unmasked-history trick is exercised under heavy aliasing.
-		"pas": func() bp.SweepKernel {
-			return bp.NewPAsSweep(4, []bp.PAsGeom{
-				{HistBits: 1, PHTBits: 0}, {HistBits: 3, PHTBits: 2},
-				{HistBits: 6, PHTBits: 0}, {HistBits: 8, PHTBits: 4},
-				{HistBits: 12, PHTBits: 2},
-			})
 		},
 		// Tiny chooser and bimodal tables so both alias across the gshare
 		// column sweep; non-monotone gshare sizes.
-		"hybrid": func() bp.SweepKernel {
+		"hybrid": func() bp.SweepGrid {
 			return bp.NewHybridSweep([]uint{8, 1, 4, 11, 6}, 5, 4)
-		},
-		// Heterogeneous concatenation: the shim must hand each part its
-		// exact slice of the count vector, in argument order.
-		"concat": func() bp.SweepKernel {
-			return bp.NewConcatSweep("concat-mixed",
-				bp.NewGshareSweep([]uint{3, 7}),
-				bp.NewHybridSweep([]uint{5, 9}, 6, 5),
-				bp.NewBimodalSweep([]uint{2, 8}),
-			)
 		},
 	}
 }
@@ -62,29 +37,58 @@ func sweepGrids() map[string]func() bp.SweepKernel {
 // their tables are maps (unbounded per-(address, history) state), so
 // they are conformance-tested with everything else but carry a bounded
 // — not zero — steady-state allocation gate.
-func mapSweepGrids() map[string]func() bp.SweepKernel {
-	return map[string]func() bp.SweepKernel{
-		"if-gshare": func() bp.SweepKernel {
+func mapSweepGrids() map[string]func() bp.SweepGrid {
+	return map[string]func() bp.SweepGrid{
+		"if-gshare": func() bp.SweepGrid {
 			return bp.NewIFGshareSweep([]uint{1, 4, 8, 12, 16})
 		},
-		"if-pas": func() bp.SweepKernel {
+		"if-pas": func() bp.SweepGrid {
 			return bp.NewIFPAsSweep([]uint{1, 3, 6, 10, 14})
 		},
 	}
 }
 
-// allSweepGrids merges every fused family for the conformance suites.
-func allSweepGrids() map[string]func() bp.SweepKernel {
+// predictorGrids enumerates PredictorGrids, whose SweepBlock replays
+// each held instance on its own engine: the single-config GAs and PAs
+// kernels (the shapes bpsimd's specs family sweeps for gas:/pas:
+// specs), and a grid mixing kernel-backed and scalar-only predictors.
+// Their kernels allocate per call, so they carry no allocation gate.
+func predictorGrids() map[string]func() bp.SweepGrid {
+	gas := func() bp.SweepGrid {
+		return bp.NewPredictorGrid("gas", []bp.Predictor{
+			bp.NewGAs(1, 0), bp.NewGAs(4, 2), bp.NewGAs(6, 4),
+			bp.NewGAs(8, 0), bp.NewGAs(10, 6), bp.NewGAs(12, 2),
+		})
+	}
+	// 4-bit BHTs: the 60 random sites alias ~4 per register.
+	pas := func() bp.SweepGrid {
+		return bp.NewPredictorGrid("pas", []bp.Predictor{
+			bp.NewPAs(1, 4, 0), bp.NewPAs(3, 4, 2), bp.NewPAs(6, 4, 0),
+			bp.NewPAs(8, 4, 4), bp.NewPAs(12, 4, 2),
+		})
+	}
+	specs := func() bp.SweepGrid {
+		return bp.NewPredictorGrid("specs", []bp.Predictor{
+			bp.NewGshare(9), bp.NewPath(6, 4), bp.NewBimodal(7), bp.AlwaysTaken{},
+		})
+	}
+	return map[string]func() bp.SweepGrid{"gas": gas, "pas": pas, "specs": specs}
+}
+
+// allSweepGrids merges every grid kind for the conformance suites.
+func allSweepGrids() map[string]func() bp.SweepGrid {
 	all := sweepGrids()
-	for name, mk := range mapSweepGrids() {
-		all[name] = mk
+	for _, more := range []map[string]func() bp.SweepGrid{mapSweepGrids(), predictorGrids()} {
+		for name, mk := range more {
+			all[name] = mk
+		}
 	}
 	return all
 }
 
 // scalarSweepTotals replays the whole trace through each of the grid's
 // independent scalar configs and returns the per-config correct totals —
-// the executable specification the fused kernel must match.
+// the executable specification SweepBlock must match.
 func scalarSweepTotals(g bp.SweepGrid, tr *trace.Trace) []int32 {
 	preds := g.Configs()
 	out := make([]int32, len(preds))
@@ -97,8 +101,8 @@ func scalarSweepTotals(g bp.SweepGrid, tr *trace.Trace) []int32 {
 
 // sweepTotals replays the packed trace through SweepBlock in chunks of
 // the given size. The scratch is pre-seeded with per-config sentinels to
-// pin the adds-only contract (the kernel must never overwrite).
-func sweepTotals(g bp.SweepKernel, pt *trace.Packed, chunk int) []int32 {
+// pin the adds-only contract (SweepBlock must never overwrite).
+func sweepTotals(g bp.SweepGrid, pt *trace.Packed, chunk int) []int32 {
 	ncfg := len(g.ConfigNames())
 	correct := make([]int32, ncfg)
 	for c := range correct {
@@ -115,8 +119,8 @@ func sweepTotals(g bp.SweepKernel, pt *trace.Packed, chunk int) []int32 {
 	return correct
 }
 
-// TestSweepScalarConformance pins every fused sweep family bit-identical,
-// per config, to its independent scalar configs, at several block
+// TestSweepScalarConformance pins every sweep grid bit-identical, per
+// config, to its independent scalar configs, at several block
 // layouts (including single-record blocks, word-straddling chunks, and
 // one full-range call).
 func TestSweepScalarConformance(t *testing.T) {
@@ -130,7 +134,7 @@ func TestSweepScalarConformance(t *testing.T) {
 				for c := range want {
 					if got[c] != want[c] {
 						name := mk().ConfigNames()[c]
-						t.Errorf("seed=%d %s chunk=%d: config %s: %d correct (fused) vs %d (scalar)",
+						t.Errorf("seed=%d %s chunk=%d: config %s: %d correct (sweep) vs %d (scalar)",
 							seed, family, chunk, name, got[c], want[c])
 					}
 				}
@@ -161,9 +165,9 @@ func TestSweepConfigNamesMatchScalar(t *testing.T) {
 	}
 }
 
-// TestPredictorGrid covers the fallback adapter: held instances are
-// returned as-is (they carry the simulation state) under their own
-// names, and an empty grid is rejected.
+// TestPredictorGrid covers the per-config adapter: held instances are
+// returned as-is under their own names, and they carry the simulation
+// state SweepBlock advances.
 func TestPredictorGrid(t *testing.T) {
 	a, b := bp.NewGshare(4), bp.NewBimodal(6)
 	g := bp.NewPredictorGrid("mixed", []bp.Predictor{a, b})
@@ -177,8 +181,15 @@ func TestPredictorGrid(t *testing.T) {
 	if ps[0] != bp.Predictor(a) || ps[1] != bp.Predictor(b) {
 		t.Error("Configs must return the held instances, not copies")
 	}
-	if _, ok := bp.SweepGrid(g).(bp.SweepKernel); ok {
-		t.Error("PredictorGrid must not claim a fused kernel")
+	// SweepBlock advances the held instances: finishing the trace on a
+	// itself must total what one fresh gshare scores over all of it.
+	tr := kernelRandomTrace(11, 2_000)
+	half := tr.Len() / 2
+	correct := make([]int32, 2)
+	g.SweepBlock(blockOf(tr.Packed(), 0, half), correct)
+	_, rest := scalarCounts(a, tr, half, tr.Len())
+	if _, want := scalarCounts(bp.NewGshare(4), tr, 0, tr.Len()); int(correct[0])+rest != want {
+		t.Errorf("split replay scored %d+%d, want %d", correct[0], rest, want)
 	}
 }
 
@@ -192,13 +203,6 @@ func TestSweepValidation(t *testing.T) {
 		"gshare over":      func() { bp.NewGshareSweep([]uint{27}) },
 		"bimodal empty":    func() { bp.NewBimodalSweep(nil) },
 		"bimodal over":     func() { bp.NewBimodalSweep([]uint{31}) },
-		"gas empty":        func() { bp.NewGAsSweep(nil) },
-		"gas zero hist":    func() { bp.NewGAsSweep([]bp.GAsGeom{{HistBits: 0, AddrBits: 2}}) },
-		"gas addr over":    func() { bp.NewGAsSweep([]bp.GAsGeom{{HistBits: 4, AddrBits: 13}}) },
-		"pas zero bht":     func() { bp.NewPAsSweep(0, []bp.PAsGeom{{HistBits: 4}}) },
-		"pas empty":        func() { bp.NewPAsSweep(8, nil) },
-		"pas hist over":    func() { bp.NewPAsSweep(8, []bp.PAsGeom{{HistBits: 25}}) },
-		"pas pht over":     func() { bp.NewPAsSweep(8, []bp.PAsGeom{{HistBits: 4, PHTBits: 13}}) },
 		"predictors empty": func() { bp.NewPredictorGrid("none", nil) },
 		"hybrid empty":     func() { bp.NewHybridSweep(nil, 8, 8) },
 		"hybrid gshare over": func() {
@@ -215,7 +219,6 @@ func TestSweepValidation(t *testing.T) {
 		"if-gshare over":      func() { bp.NewIFGshareSweep([]uint{33}) },
 		"if-pas empty":        func() { bp.NewIFPAsSweep(nil) },
 		"if-pas over":         func() { bp.NewIFPAsSweep([]uint{33}) },
-		"concat empty":        func() { bp.NewConcatSweep("none") },
 	}
 	for name, build := range cases {
 		t.Run(name, func(t *testing.T) {

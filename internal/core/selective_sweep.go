@@ -9,7 +9,7 @@ import (
 
 // SelectiveConfig is one column of a fused selective-predictor grid: a
 // named Selective over its own window length, ref assignment, and state
-// mode. Window sweeps (Figure 4) vary Window at a fixed Assign; figure
+// mode. Window sweeps (Figure 5) vary Window at a fixed Assign; figure
 // panels vary Assign (history size) at a fixed Window.
 type SelectiveConfig struct {
 	Name   string
@@ -94,7 +94,7 @@ func (g *SelectiveSweep) Configs() []bp.Predictor {
 	return out
 }
 
-// Shard implements bp.SweepSharder: a fresh fused grid over the configs
+// Shard implements bp.SweepGrid: a fresh fused grid over the configs
 // [lo, hi) (each shard owns a private window, which is exact: the window
 // contents are stream-determined).
 func (g *SelectiveSweep) Shard(lo, hi int) bp.SweepGrid {
@@ -132,7 +132,7 @@ func (g *SelectiveSweep) extend(addrs []trace.Addr) {
 	}
 }
 
-// SweepBlock implements bp.SweepKernel.
+// SweepBlock implements bp.SweepGrid.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.extend(blk.Addrs)
 	win := g.win
@@ -175,7 +175,4 @@ func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	}
 }
 
-var (
-	_ bp.SweepKernel  = (*SelectiveSweep)(nil)
-	_ bp.SweepSharder = (*SelectiveSweep)(nil)
-)
+var _ bp.SweepGrid = (*SelectiveSweep)(nil)

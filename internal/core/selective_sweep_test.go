@@ -111,9 +111,8 @@ func TestSelectiveSweepShardComposition(t *testing.T) {
 	for _, r := range [][2]int{{0, 1}, {0, 2}, {2, 5}, {1, 4}, {0, 5}} {
 		lo, hi := r[0], r[1]
 		sub := NewSelectiveSweep("sel", cfgs).Shard(lo, hi)
-		kernel := sub.(bp.SweepKernel)
 		subNames := sub.ConfigNames()
-		got := selSweepTotals(kernel.(*SelectiveSweep), pt, 1000)
+		got := selSweepTotals(sub.(*SelectiveSweep), pt, 1000)
 		for c := range got {
 			if subNames[c] != names[lo+c] {
 				t.Errorf("shard [%d,%d): config %d named %q, want %q", lo, hi, c, subNames[c], names[lo+c])
@@ -127,7 +126,7 @@ func TestSelectiveSweepShardComposition(t *testing.T) {
 }
 
 // TestSelectiveSweepShardedSimulate drives the grid through the sim
-// scheduler at several shard counts: the Figure 4/5 integration path —
+// scheduler at several shard counts: the Figure 5 integration path —
 // outcomes must be byte-identical to the sequential engine.
 func TestSelectiveSweepShardedSimulate(t *testing.T) {
 	tr := selSweepTrace(3000)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"branchcorr/internal/bp"
 	"branchcorr/internal/core"
 	"branchcorr/internal/sim"
 	"branchcorr/internal/textplot"
@@ -35,36 +34,19 @@ func (s *Suite) Figure4() *Figure4Result {
 	return res
 }
 
-// figure4Cell computes one benchmark's Figure 4 row through the fused
-// sweep engine: the three selective predictors, the IF-gshare, and the
-// gshare concatenate into one grid, so the whole row — five configs —
-// costs one walk over the packed columns (per-config accuracies divide
-// the same correct counts an independent Simulate run produces, so the
-// rendered row is byte-identical to the per-predictor path).
+// figure4Cell reads one benchmark's Figure 4 row from the shared
+// per-branch bundle: Table 2, Figure 8 and the in-path exhibit view the
+// same five runs (the three selective predictors, IF-gshare and gshare),
+// so a report simulates them once per trace.
 func (s *Suite) figure4Cell(tr *trace.Trace) Figure4Row {
-	sels := s.selsFor(tr)
-	n := s.cfg.Oracle.WindowLen
-	cfgs := make([]core.SelectiveConfig, core.MaxSelectiveRefs)
-	for k := 1; k <= core.MaxSelectiveRefs; k++ {
-		cfgs[k-1] = core.SelectiveConfig{
-			Name:   fmt.Sprintf("IF %d-branch selective(%d)", k, n),
-			Window: n,
-			Assign: sels.BySize[k],
-		}
-	}
-	grid := bp.NewConcatSweep("fig4-global-correlation",
-		core.NewSelectiveSweep("fig4-selective", cfgs),
-		bp.NewIFGshareSweep([]uint{s.cfg.GshareBits}),
-		bp.NewGshareSweep([]uint{s.cfg.GshareBits}),
-	)
-	out := s.simSweep(tr, grid)
+	b := s.globalFor(tr)
 	row := Figure4Row{
 		Benchmark: tr.Name(),
-		IFGshare:  out.Accuracy(core.MaxSelectiveRefs),
-		Gshare:    out.Accuracy(core.MaxSelectiveRefs + 1),
+		IFGshare:  b.ifg.Accuracy(),
+		Gshare:    b.g.Accuracy(),
 	}
 	for k := 1; k <= core.MaxSelectiveRefs; k++ {
-		row.Sel[k] = out.Accuracy(k - 1)
+		row.Sel[k] = b.sel[k].Accuracy()
 	}
 	return row
 }

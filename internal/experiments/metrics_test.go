@@ -17,8 +17,9 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // metricsConfig is the fixed workload the metrics tests run: small
-// enough for CI, but covering the fast path (gshare via fig4), the
-// reference path (the selective predictors), the oracle passes, and the
+// enough for CI, but covering the fast path (fig4's gshare and IF-gshare
+// and the extra specs), the reference path (fig4's selective
+// predictors), the oracle passes, the shared per-branch bundle, and the
 // user-spec extra exhibit.
 func metricsConfig(reg *obs.Registry) Config {
 	return Config{

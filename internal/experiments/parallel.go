@@ -24,9 +24,11 @@ func ExhibitOrder() []string {
 	}
 }
 
-// normalizeExhibits validates the requested exhibit names and returns
+// NormalizeExhibits validates the requested exhibit names and returns
 // them deduplicated in canonical order; nil or empty requests everything.
-func normalizeExhibits(names []string) ([]string, error) {
+// BuildReport applies it to its request; a caller can apply it first to
+// reject a bad request before paying for the suite's traces.
+func NormalizeExhibits(names []string) ([]string, error) {
 	if len(names) == 0 {
 		return ExhibitOrder(), nil
 	}
@@ -60,7 +62,7 @@ func normalizeExhibits(names []string) ([]string, error) {
 // opts.Parallel selects. The first failing cell cancels the pool and is
 // returned as the error.
 func (s *Suite) BuildReport(ctx context.Context, exhibits []string, opts runner.Options) (*Report, error) {
-	want, err := normalizeExhibits(exhibits)
+	want, err := NormalizeExhibits(exhibits)
 	if err != nil {
 		return nil, err
 	}

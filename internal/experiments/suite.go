@@ -209,9 +209,9 @@ type Suite struct {
 	simTimeline func(tr *trace.Trace, bucket int, predictors ...bp.Predictor) []*sim.Timeline
 
 	// simSweep drives a whole config grid over a trace in one call. It
-	// defaults to sim.SimulateSweep, whose fused path kicks in when the
-	// grid is a bp.SweepKernel; differential tests swap in a
-	// ForceReference call to prove report bytes are engine-independent.
+	// defaults to sim.SimulateSweep, which replays the grid's fused
+	// SweepBlock; differential tests swap in a ForceReference call to
+	// prove report bytes are engine-independent.
 	simSweep func(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome
 }
 
@@ -301,9 +301,9 @@ func (s *Suite) newPAs() bp.Predictor {
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for
-// a trace at the configured window. The sweep-driven Figure 4 cell and
-// the per-branch bundle (globalFor) both start here, so a report that
-// needs both pays for one oracle pass.
+// a trace at the configured window. The per-branch bundle (globalFor)
+// and Figure 5's default window both start here, so a report that needs
+// both pays for one oracle pass.
 func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	s.obs.Counter("suite.memo.sels.calls").Inc()
 	return s.sels.get(tr.Name(), func() *core.Selections {

@@ -395,10 +395,31 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.writePayload(w, b)
 }
 
-// buildGrid turns a wire grid spec into a sweep grid. Constructor
-// geometry guards panic on out-of-range parameters before allocating;
-// like bp.Parse, a wire spec is user input, so those panics surface as
-// bad-param errors.
+// maxGridCounters bounds the counter entries (one byte each) one sweep
+// grid may allocate: 2^27, 128 MiB. The serve benchmark's largest grid,
+// 4 configs of at most 2^20 entries, is far below it.
+const maxGridCounters = 1 << 27
+
+// tableEntries sums 2^b counter entries over table-bit axis values.
+// Values past 30 are out of every family's range and count nothing:
+// the constructor guards reject them as bad-param.
+func tableEntries(bits ...uint) uint64 {
+	n := uint64(0)
+	for _, b := range bits {
+		if b <= 30 {
+			n += 1 << b
+		}
+	}
+	return n
+}
+
+// buildGrid turns a wire grid spec into a sweep grid. The dense-table
+// families (gshare-hist, bimodal-size, hybrid) sum their counter
+// entries from the axis values first and reject a grid over
+// maxGridCounters as too-large, before any table is allocated.
+// Constructor geometry guards panic on out-of-range parameters before
+// allocating; like bp.Parse, a wire spec is user input, so those panics
+// surface as bad-param errors.
 func buildGrid(g v1.GridSpec, tr *trace.Trace) (grid bp.SweepGrid, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -414,16 +435,28 @@ func buildGrid(g v1.GridSpec, tr *trace.Trace) (grid bp.SweepGrid, err error) {
 		}
 		return vals, nil
 	}
+	budget := func(entries uint64) error {
+		if entries > maxGridCounters {
+			return tooLarge(fmt.Errorf("grid: %d counter entries exceed the limit %d", entries, maxGridCounters))
+		}
+		return nil
+	}
 	switch g.Family {
 	case "gshare-hist":
 		hist, err := axis("hist", g.Hist)
 		if err != nil {
 			return nil, err
 		}
+		if err := budget(tableEntries(hist...)); err != nil {
+			return nil, err
+		}
 		return bp.NewGshareSweep(hist), nil
 	case "bimodal-size":
 		table, err := axis("table", g.Table)
 		if err != nil {
+			return nil, err
+		}
+		if err := budget(tableEntries(table...)); err != nil {
 			return nil, err
 		}
 		return bp.NewBimodalSweep(table), nil
@@ -450,6 +483,11 @@ func buildGrid(g v1.GridSpec, tr *trace.Trace) (grid bp.SweepGrid, err error) {
 		}
 		if chooser == 0 {
 			chooser = 12
+		}
+		// One shared bimodal table, a PHT and a chooser per config.
+		entries := tableEntries(bimodal) + tableEntries(hist...) + uint64(len(hist))*tableEntries(chooser)
+		if err := budget(entries); err != nil {
+			return nil, err
 		}
 		return bp.NewHybridSweep(hist, bimodal, chooser), nil
 	case "specs":

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -379,6 +380,7 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown grid family", "/v1/sweep", `{"trace":{"workload":"gcc"},"grid":{"family":"nope"}}`, 400, "bad-request"},
 		{"empty grid axis", "/v1/sweep", `{"trace":{"workload":"gcc"},"grid":{"family":"gshare-hist"}}`, 400, "bad-request"},
 		{"grid guard panic", "/v1/sweep", `{"trace":{"workload":"gcc"},"grid":{"family":"gshare-hist","hist":[60]}}`, 400, "bad-param"},
+		{"oversized grid", "/v1/sweep", `{"trace":{"workload":"gcc"},"grid":{"family":"bimodal-size","table":[30,29]}}`, 413, "too-large"},
 		{"oracle topk", "/v1/oracle", `{"trace":{"workload":"gcc"},"top_k":33}`, 400, "bad-request"},
 		{"oracle stage", "/v1/oracle", `{"trace":{"workload":"gcc"},"stage":"select"}`, 400, "bad-request"},
 		{"oracle scheme", "/v1/oracle", `{"trace":{"workload":"gcc"},"schemes":["sideways"]}`, 400, "bad-request"},
@@ -400,6 +402,39 @@ func TestErrorMapping(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBuildGridBudget pins the per-request memory bound on sweep grids:
+// a dense-table grid whose summed counter entries exceed
+// maxGridCounters is rejected as too-large before any table is built.
+func TestBuildGridBudget(t *testing.T) {
+	for name, g := range map[string]v1.GridSpec{
+		"bimodal": {Family: "bimodal-size", Table: []uint{30, 29}},
+		"gshare":  {Family: "gshare-hist", Hist: []uint{26, 26, 20}},
+		"hybrid":  {Family: "hybrid", Hist: []uint{20}, BimodalBits: 27},
+		"chooser": {Family: "hybrid", Hist: make64(8), ChooserBits: 22},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := buildGrid(g, nil)
+		runtime.ReadMemStats(&after)
+		var re *reqError
+		if !errors.As(err, &re) || re.code != "too-large" {
+			t.Errorf("%s: err %v, want too-large", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: rejected grid allocated %d bytes", name, d)
+		}
+	}
+}
+
+// make64 returns a 64-entry axis of b-bit values, the axis length limit.
+func make64(b uint) []uint {
+	out := make([]uint, 64)
+	for i := range out {
+		out[i] = b
+	}
+	return out
 }
 
 // TestComputeDetachedFromCaller pins the single-flight context fix: a

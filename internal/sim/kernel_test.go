@@ -26,10 +26,6 @@ func mkSpec(t *testing.T, spec string, tr *trace.Trace) bp.Predictor {
 	return p
 }
 
-// scalarOnly hides a predictor's kernel, forcing the reference path
-// through public entry points while preserving scalar behavior.
-type scalarOnly struct{ bp.Predictor }
-
 // TestRunFastPathMatchesReference is the sim-side half of the engine
 // equivalence guarantee: Simulate's columnar fast path and its
 // ForceReference per-record spec produce identical Results — labels,

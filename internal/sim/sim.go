@@ -123,19 +123,18 @@ type Options struct {
 	// Parallel is the worker budget for fanning independent work across
 	// the runner pool. In Simulate it bounds concurrent predictor runs
 	// (one cell per predictor; predictors are independent, the trace is
-	// read-only). In SimulateSweep it bounds config shards: the grid
-	// splits into up to Parallel contiguous sub-grids (bp.SweepSharder),
-	// each replaying on its own core, and the per-config counts compose
-	// exactly. 0 or 1 runs sequentially;
-	// negative selects runtime.GOMAXPROCS(0). Results are bit-identical
-	// at every setting.
+	// read-only). In SimulateSweep it bounds config shards: grid.Shard
+	// splits the grid into up to Parallel contiguous sub-grids, one
+	// runner cell each, and the per-config counts compose exactly. 0 or 1
+	// runs sequentially; negative selects runtime.GOMAXPROCS(0). Results
+	// are bit-identical at every setting.
 	Parallel int
 	// BucketSize, when positive, additionally records each predictor's
 	// accuracy per bucket of this many dynamic branches (Outcome.Timelines).
 	BucketSize int
-	// ForceReference pins every predictor to the per-record reference
-	// loop, bypassing the columnar kernels — the differential tests'
-	// baseline engine.
+	// ForceReference pins every predictor (in SimulateSweep, every grid
+	// config) to the scalar bp.Replay loop, bypassing the columnar
+	// kernels and fused sweeps — the differential tests' baseline engine.
 	ForceReference bool
 	// Observer receives the engine-engagement counters; nil selects
 	// obs.Default().
@@ -229,11 +228,10 @@ func Simulate(t *trace.Trace, predictors []bp.Predictor, opts Options) *Outcome 
 // through a block source chunk by chunk. Each predictor independently
 // takes the columnar kernel path over every chunk when it implements
 // bp.KernelPredictor (unless opts.ForceReference); other predictors
-// replay the chunk through the scalar Predict/Update loop on records
-// reconstructed from the columns. Per-branch accounting accumulates in
-// flat slices indexed by dense ID that grow with the source's intern
-// table, so resident state is O(chunk + static branch sites +
-// #predictors). The kernel contract makes chunked replay
+// replay the chunk through the scalar bp.Replay loop. Per-branch
+// accounting accumulates in flat slices indexed by dense ID that grow
+// with the source's intern table, so resident state is O(chunk + static
+// branch sites + #predictors). The kernel contract makes chunked replay
 // observationally equal to one full-trace call, so the Outcome is the
 // same at any chunk size.
 //
@@ -287,7 +285,7 @@ func simulate(src trace.BlockSource, predictors []bp.Predictor, opts Options, re
 				if k := kernels[i]; k != nil {
 					c = k.SimulateBlock(kblk, correct[i])
 				} else {
-					c = referenceSegment(p, blk, addrs, lo, hi, correct[i])
+					c = bp.Replay(p, kblk, correct[i])
 				}
 				totalCorrect[i] += c
 				bucketCorrect[i] += c
@@ -325,30 +323,6 @@ func simulate(src trace.BlockSource, predictors []bp.Predictor, opts Options, re
 		out.Results[i] = r
 	}
 	return out, nil
-}
-
-// referenceSegment replays block records [lo, hi) through the scalar
-// Predict/Update loop — the reference engine's per-record semantics on
-// records reconstructed from the columns, and the executable
-// specification the columnar kernels are pinned against — accumulating
-// per-ID correct counts like a kernel call and returning the segment's
-// correct total.
-func referenceSegment(p bp.Predictor, blk trace.Block, addrs []trace.Addr, lo, hi int, correct []int32) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		id := blk.IDs[i]
-		rec := trace.Record{
-			PC:       addrs[id],
-			Taken:    blk.Taken1(i) != 0,
-			Backward: blk.Back1(i) != 0,
-		}
-		if p.Predict(rec) == rec.Taken {
-			correct[id]++
-			c++
-		}
-		p.Update(rec)
-	}
-	return c
 }
 
 // growInt32 extends s with zeroed entries up to length n, preserving the

@@ -11,18 +11,17 @@ import (
 )
 
 // This file is the sweep engine: whole config grids — the shape of every
-// figure in the paper — simulated in one call. Grids with a fused kernel
-// (bp.SweepKernel) update every config from a single walk over the
-// packed columns; grids without one fall back to per-config simulation
-// inside the same call, each config on its own best engine. The
-// differential tests pin both engines bit-identical, per config, to
-// independent Simulate runs.
+// figure in the paper — simulated in one call through one contract,
+// bp.SweepGrid. Fused grids update every config from a single walk over
+// the packed columns; a bp.PredictorGrid replays each config on its own
+// best engine inside the same call. The differential tests pin every
+// grid bit-identical, per config, to independent Simulate runs.
 //
 // On top of fusion sits config sharding (Options.Parallel > 1): the
-// grid splits into contiguous sub-grids (bp.SweepSharder), one runner
-// cell per shard, each replaying the identical record stream against
-// its own fresh state. Configs of one grid share no counter state, so
-// each shard's per-config counts land in a disjoint slice of the output
+// grid splits into contiguous sub-grids (grid.Shard), one runner cell
+// per shard, each replaying the identical record stream against its own
+// fresh state. Configs of one grid share no counter state, so each
+// shard's per-config counts land in a disjoint slice of the output
 // vector and the composed result is byte-identical to the sequential
 // run — the scheduler only ever changes who computes a count, never the
 // count (pinned by the shard differential tests under -race).
@@ -87,22 +86,13 @@ func sweepShards(opts Options, ncfg int) int {
 // sweepShard is one scheduled slice of a sharded sweep: the sub-grid
 // covering configs [lo, hi) of the parent, in grid order.
 type sweepShard struct {
-	lo, hi   int
-	grid     bp.SweepGrid
-	degraded bool // parent would fuse but this shard cannot
+	lo, hi int
+	grid   bp.SweepGrid
 }
 
 // planShards partitions the grid's ncfg configs into n balanced
-// contiguous shards. Grids implementing bp.SweepSharder produce fused
-// sub-grids; any other grid degrades to independent per-config
-// simulation via bp.PredictorGrid over a slice of Configs() — exact
-// either way, but the degraded shards are counted so a silently slow
-// sweep is visible in the metrics (parentFused is the parent's
-// effective engine: degradation is only meaningful when the parent
-// would have fused).
-func planShards(grid bp.SweepGrid, ncfg, n int, parentFused bool) []sweepShard {
-	sharder, _ := grid.(bp.SweepSharder)
-	var cfgs []bp.Predictor // lazily materialized for non-sharder grids
+// contiguous shards, each the grid's own Shard over its range.
+func planShards(grid bp.SweepGrid, ncfg, n int) []sweepShard {
 	shards := make([]sweepShard, 0, n)
 	base, rem := ncfg/n, ncfg%n
 	lo := 0
@@ -111,84 +101,60 @@ func planShards(grid bp.SweepGrid, ncfg, n int, parentFused bool) []sweepShard {
 		if i < rem {
 			hi++
 		}
-		var sub bp.SweepGrid
-		if sharder != nil {
-			sub = sharder.Shard(lo, hi)
-		} else {
-			if cfgs == nil {
-				cfgs = grid.Configs()
-			}
-			sub = bp.NewPredictorGrid(fmt.Sprintf("%s[%d:%d)", grid.GridName(), lo, hi), cfgs[lo:hi])
-		}
-		_, subFused := sub.(bp.SweepKernel)
-		shards = append(shards, sweepShard{lo: lo, hi: hi, grid: sub, degraded: parentFused && !subFused})
+		shards = append(shards, sweepShard{lo: lo, hi: hi, grid: grid.Shard(lo, hi)})
 		lo = hi
 	}
 	return shards
 }
 
 // shardAccount reports the shard-scheduling counters:
-// sim.sweep.runs.sharded (sharded calls), sim.sweep.shards (cells
-// scheduled), and sim.sweep.shards.degraded (shards that fell off the
-// fused path their parent grid would have taken). All three depend only
-// on (grid, options), never on scheduling.
+// sim.sweep.runs.sharded (sharded calls) and sim.sweep.shards (cells
+// scheduled). Both depend only on (grid, options), never on scheduling.
 func shardAccount(reg *obs.Registry, shards []sweepShard) {
 	reg.Counter("sim.sweep.runs.sharded").Inc()
 	reg.Counter("sim.sweep.shards").Add(int64(len(shards)))
-	deg := 0
-	for _, sh := range shards {
-		if sh.degraded {
-			deg++
-		}
-	}
-	if deg > 0 {
-		reg.Counter("sim.sweep.shards.degraded").Add(int64(deg))
+}
+
+// sweepEngine replays the whole packed trace through one grid as a
+// single block, adding each config's correct count into correct
+// (len(correct) = config count). It is the unit of scheduling: the
+// sequential path calls it once with the full grid, the sharded path
+// once per shard with a sub-grid and the matching slice of the output
+// vector.
+func sweepEngine(pt *trace.Packed, grid bp.SweepGrid, correct []int64) {
+	blk, _ := pt.Blocks(pt.Len()).Next()
+	scratch := make([]int32, len(correct))
+	grid.SweepBlock(bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: pt.Addrs(), Lo: 0, Hi: blk.Len()}, scratch)
+	for c, v := range scratch {
+		correct[c] += int64(v)
 	}
 }
 
-// sweepEngine replays the whole packed trace through one grid, adding
-// each config's correct count into correct (len(correct) = config
-// count). The trace is one block: a fused grid sweeps it in a single
-// SweepBlock call, and a fallback grid replays it through every config
-// on that config's own path — its columnar kernel, or the scalar
-// referenceSegment loop that Simulate's engine also runs. It is the unit
-// of scheduling: the sequential path calls it once with the full grid,
-// the sharded path once per shard with a sub-grid and the matching
-// slice of the output vector.
-func sweepEngine(pt *trace.Packed, grid bp.SweepGrid, force bool, correct []int64) {
-	blk, _ := pt.Blocks(pt.Len()).Next()
-	kblk := bp.KernelBlock{IDs: blk.IDs, Taken: blk.Taken, Back: blk.Back, Addrs: pt.Addrs(), Lo: 0, Hi: blk.Len()}
-	if k, ok := grid.(bp.SweepKernel); ok && !force {
-		scratch := make([]int32, len(correct))
-		k.SweepBlock(kblk, scratch)
-		for c, v := range scratch {
-			correct[c] += int64(v)
-		}
-		return
+// scalarOnly hides a predictor's columnar kernel, so a PredictorGrid
+// replays it through the scalar bp.Replay loop.
+type scalarOnly struct{ bp.Predictor }
+
+// referenceGrid is the grid a ForceReference sweep runs: the grid's
+// independent scalar configs with their kernels hidden.
+func referenceGrid(grid bp.SweepGrid) bp.SweepGrid {
+	cfgs := grid.Configs()
+	preds := make([]bp.Predictor, len(cfgs))
+	for c, p := range cfgs {
+		preds[c] = scalarOnly{p}
 	}
-	perID := make([]int32, pt.NumBranches()) // shared per-branch scratch; only the totals matter
-	for c, p := range grid.Configs() {
-		var n int
-		if kp, ok := p.(bp.KernelPredictor); ok && !force {
-			n = kp.SimulateBlock(kblk, perID)
-		} else {
-			n = referenceSegment(p, blk, pt.Addrs(), 0, blk.Len(), perID)
-		}
-		correct[c] += int64(n)
-	}
+	return bp.NewPredictorGrid(grid.GridName(), preds)
 }
 
 // SimulateSweep drives an entire config grid over the trace in one call
-// and returns the per-config correct counts in grid order. When the
-// grid implements bp.SweepKernel (and opts.ForceReference is unset) the
-// whole grid updates from a single fused walk over the trace's memoized
-// packed columns — configs × records predictions for one column pass.
-// Other grids (and ForceReference runs) fall back to per-config
-// simulation: each of grid.Configs() replays the trace on its own best
-// path (columnar kernel when it has one, the scalar reference loop
-// otherwise; ForceReference pins the scalar loop). Both engines are
-// pinned bit-identical, per config, to independent Simulate runs by the
-// package's sweep differential tests.
+// and returns the per-config correct counts in grid order, replaying the
+// trace's memoized packed columns through grid.SweepBlock: a fused grid
+// updates every config from a single walk (configs × records
+// predictions for one column pass), a bp.PredictorGrid replays each
+// config on its own best path. opts.ForceReference instead sweeps a
+// PredictorGrid over grid.Configs() with their kernels hidden, so every
+// config replays the scalar bp.Replay loop. The package's sweep
+// differential tests pin every grid and both modes bit-identical, per
+// config, to independent Simulate runs.
 //
 // opts.Parallel > 1 shards the grid's configs across the runner pool
 // (see Options.Parallel); the outcome is byte-identical at every
@@ -196,25 +162,27 @@ func sweepEngine(pt *trace.Packed, grid bp.SweepGrid, force bool, correct []int6
 //
 // Engagement and volume report into opts.Observer (default
 // obs.Default()): sim.sweep.runs.{fused,fallback} and per-grid
-// sim.sweep.{fused,fallback}.<grid>, plus sim.sweep.configs,
-// sim.sweep.records, and sim.sweep.predictions (configs × records);
-// sharded calls add sim.sweep.runs.sharded, sim.sweep.shards, and
-// sim.sweep.shards.degraded.
+// sim.sweep.{fused,fallback}.<grid> (fallback: a PredictorGrid or a
+// ForceReference run), plus sim.sweep.configs, sim.sweep.records, and
+// sim.sweep.predictions (configs × records); sharded calls add
+// sim.sweep.runs.sharded and sim.sweep.shards.
 func SimulateSweep(t *trace.Trace, grid bp.SweepGrid, opts Options) *SweepOutcome {
 	reg := obs.Or(opts.Observer)
 	defer reg.StartSpan("sim.simulate_sweep").End()
 	pt := t.Packed()
 	out := newSweepOutcome(grid, t.Name())
 	out.Total = pt.Len()
-	_, fused := grid.(bp.SweepKernel)
-	fused = fused && !opts.ForceReference
-	sweepAccount(reg, out.Grid, len(out.Configs), pt.Len(), fused)
+	_, perConfig := grid.(*bp.PredictorGrid)
+	sweepAccount(reg, out.Grid, len(out.Configs), pt.Len(), !perConfig && !opts.ForceReference)
+	if opts.ForceReference {
+		grid = referenceGrid(grid)
+	}
 	n := sweepShards(opts, len(out.Configs))
 	if n <= 1 {
-		sweepEngine(pt, grid, opts.ForceReference, out.Correct)
+		sweepEngine(pt, grid, out.Correct)
 		return out
 	}
-	shards := planShards(grid, len(out.Configs), n, fused)
+	shards := planShards(grid, len(out.Configs), n)
 	shardAccount(reg, shards)
 	cells := make([]runner.Cell, len(shards))
 	for i, sh := range shards {
@@ -224,7 +192,7 @@ func SimulateSweep(t *trace.Trace, grid bp.SweepGrid, opts Options) *SweepOutcom
 			Exhibit:  "sweep-shard",
 			Workload: fmt.Sprintf("%s/%d", t.Name(), i),
 			Run: func(context.Context) error {
-				sweepEngine(pt, sh.grid, opts.ForceReference, seg)
+				sweepEngine(pt, sh.grid, seg)
 				return nil
 			},
 		}

@@ -9,17 +9,12 @@ import (
 
 // Differential suite for the config-sharded sweep scheduler: at every
 // Parallel setting, SimulateSweep must produce byte-identical outcomes
-// to the sequential engine, for every grid family — fused, fallback,
-// and degraded-shard alike. Run under -race these tests also pin that
-// shards share no mutable state.
+// to the sequential engine, for every grid family — fused and
+// per-config alike. Run under -race these tests also pin that shards
+// share no mutable state.
 
-// kernelOnlyGrid hides a fused grid's Shard method: a SweepKernel that
-// is not a SweepSharder, forcing the scheduler's degraded path.
-type kernelOnlyGrid struct{ bp.SweepKernel }
-
-// shardTestGrids extends the engine grids with the shapes specific to
-// the sharded scheduler: a heterogeneous concatenation and a fused grid
-// that cannot shard.
+// shardTestGrids extends the engine grids with the remaining fused
+// families.
 func shardTestGrids() map[string]func() bp.SweepGrid {
 	grids := sweepTestGrids()
 	grids["hybrid-fused"] = func() bp.SweepGrid {
@@ -28,15 +23,8 @@ func shardTestGrids() map[string]func() bp.SweepGrid {
 	grids["if-gshare-fused"] = func() bp.SweepGrid {
 		return bp.NewIFGshareSweep([]uint{2, 6, 10})
 	}
-	grids["concat-fused"] = func() bp.SweepGrid {
-		return bp.NewConcatSweep("concat",
-			bp.NewGshareSweep([]uint{4, 8}),
-			bp.NewBimodalSweep([]uint{5, 9}),
-			bp.NewIFPAsSweep([]uint{3, 7}),
-		)
-	}
-	grids["kernel-no-sharder"] = func() bp.SweepGrid {
-		return kernelOnlyGrid{bp.NewGshareSweep([]uint{3, 5, 7, 9})}
+	grids["if-pas-fused"] = func() bp.SweepGrid {
+		return bp.NewIFPAsSweep([]uint{3, 7})
 	}
 	return grids
 }
@@ -59,14 +47,14 @@ func TestSimulateSweepShardedMatchesSequential(t *testing.T) {
 
 // TestSimulateSweepShardObsCounters pins the scheduler's observability
 // contract: shard counts are scheduling-independent functions of (grid,
-// options), and degradation off the fused path is visible.
+// options).
 func TestSimulateSweepShardObsCounters(t *testing.T) {
 	tr := randomTrace(7, 5_000)
 	count := func(reg *obs.Registry, name string) int64 {
 		return reg.Counter(name).Value()
 	}
 
-	// Fused sharder: all shards stay fused.
+	// Fused grid: one sharded run of three shards.
 	reg := obs.New()
 	SimulateSweep(tr, bp.NewGshareSweep([]uint{2, 4, 6, 8, 10}), Options{Parallel: 3, Observer: reg})
 	if got := count(reg, "sim.sweep.runs.sharded"); got != 1 {
@@ -74,9 +62,6 @@ func TestSimulateSweepShardObsCounters(t *testing.T) {
 	}
 	if got := count(reg, "sim.sweep.shards"); got != 3 {
 		t.Errorf("shards = %d, want 3", got)
-	}
-	if got := count(reg, "sim.sweep.shards.degraded"); got != 0 {
-		t.Errorf("shards.degraded = %d, want 0", got)
 	}
 
 	// Sequential options: no shard counters at all.
@@ -86,24 +71,13 @@ func TestSimulateSweepShardObsCounters(t *testing.T) {
 		t.Errorf("sequential runs.sharded = %d, want 0", got)
 	}
 
-	// A fused kernel without a sharder: every shard degrades.
-	reg = obs.New()
-	SimulateSweep(tr, kernelOnlyGrid{bp.NewGshareSweep([]uint{2, 4, 6})}, Options{Parallel: 2, Observer: reg})
-	if got := count(reg, "sim.sweep.shards.degraded"); got != 2 {
-		t.Errorf("kernel-no-sharder shards.degraded = %d, want 2", got)
-	}
-
-	// A plain predictor grid is not fused to begin with: sharding it is
-	// not a degradation.
+	// A predictor grid shards the same way.
 	reg = obs.New()
 	SimulateSweep(tr, bp.NewPredictorGrid("plain", []bp.Predictor{
 		bp.NewGshare(4), bp.NewGshare(6), bp.NewGshare(8),
 	}), Options{Parallel: 3, Observer: reg})
 	if got := count(reg, "sim.sweep.shards"); got != 3 {
 		t.Errorf("plain-grid shards = %d, want 3", got)
-	}
-	if got := count(reg, "sim.sweep.shards.degraded"); got != 0 {
-		t.Errorf("plain-grid shards.degraded = %d, want 0", got)
 	}
 
 	// Shard count never exceeds the config count.

@@ -7,15 +7,15 @@ import (
 	"branchcorr/internal/trace"
 )
 
-// Differential suite for the sweep engine: SimulateSweep (fused and
-// ForceReference) must agree bit-identically, per config, with independent sim.Simulate runs of
-// the grid's scalar configs — the same equivalence ladder the
+// Differential suite for the sweep engine: SimulateSweep (default and
+// ForceReference) must agree bit-identically, per config, with
+// independent sim.Simulate runs of the grid's scalar configs — the same equivalence ladder the
 // single-predictor engine is pinned by, lifted to whole grids.
 
 // sweepTestGrids enumerates one grid builder per engine-relevant shape:
 // each fused family, plus a PredictorGrid mixing kernel-backed and
-// scalar-only predictors so the fallback engine's per-config dispatch
-// is exercised in one grid.
+// scalar-only predictors so PredictorGrid's per-config dispatch is
+// exercised in one grid.
 func sweepTestGrids() map[string]func() bp.SweepGrid {
 	return map[string]func() bp.SweepGrid{
 		"gshare-fused": func() bp.SweepGrid {
@@ -24,17 +24,7 @@ func sweepTestGrids() map[string]func() bp.SweepGrid {
 		"bimodal-fused": func() bp.SweepGrid {
 			return bp.NewBimodalSweep([]uint{1, 4, 8, 12})
 		},
-		"gas-fused": func() bp.SweepGrid {
-			return bp.NewGAsSweep([]bp.GAsGeom{
-				{HistBits: 2, AddrBits: 0}, {HistBits: 6, AddrBits: 3}, {HistBits: 10, AddrBits: 5},
-			})
-		},
-		"pas-fused": func() bp.SweepGrid {
-			return bp.NewPAsSweep(5, []bp.PAsGeom{
-				{HistBits: 2, PHTBits: 0}, {HistBits: 6, PHTBits: 3}, {HistBits: 10, PHTBits: 1},
-			})
-		},
-		"mixed-fallback": func() bp.SweepGrid {
+		"mixed-per-config": func() bp.SweepGrid {
 			return bp.NewPredictorGrid("mixed", []bp.Predictor{
 				bp.NewGshare(9),  // kernel-backed
 				bp.NewPath(6, 4), // scalar-only: exercises the reference loop
@@ -74,15 +64,15 @@ func sameSweep(t *testing.T, ctxt string, o *SweepOutcome, want []int64, total i
 }
 
 // TestSimulateSweepMatchesIndependentRuns is the engine-level
-// equivalence ladder: fused sweep == reference sweep == N independent
+// equivalence ladder: sweep == reference sweep == N independent
 // Simulate runs, per config, over randomized traces.
 func TestSimulateSweepMatchesIndependentRuns(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		tr := randomTrace(seed, 30_000)
 		for name, mk := range sweepTestGrids() {
 			want := independentCorrect(tr, mk())
-			fused := SimulateSweep(tr, mk(), Options{})
-			sameSweep(t, name+"/fused", fused, want, tr.Len())
+			swept := SimulateSweep(tr, mk(), Options{})
+			sameSweep(t, name+"/sweep", swept, want, tr.Len())
 			ref := SimulateSweep(tr, mk(), Options{ForceReference: true})
 			sameSweep(t, name+"/reference", ref, want, tr.Len())
 		}
