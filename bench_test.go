@@ -584,18 +584,26 @@ func BenchmarkPredictors(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectivePredictor measures the selective predictor's
-// throughput (window resolution dominates).
+// BenchmarkSelectivePredictor measures the 3-branch selective
+// predictor's simulation throughput: the scalar Predict/Update reference
+// loop (impl=ref, ForceReference) against the batched SimulateBlock
+// kernel (impl=kernel), both resolving refs through the instance index,
+// each iteration simulating the full trace on a fresh predictor.
 func BenchmarkSelectivePredictor(b *testing.B) {
-	tr := benchTrace(b, "gcc")
-	recs := benchRecords(tr)
-	sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
-	p := core.NewSelective("sel3", 16, sels.BySize[3])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := recs[i%len(recs)]
-		p.Predict(r)
-		p.Update(r)
+	for _, n := range benchOracleLengths {
+		tr := benchTraceN(b, "gcc", n)
+		sels := core.Oracle(tr, core.OracleOptions{OracleConfig: core.OracleConfig{WindowLen: 16}})
+		for _, impl := range []struct {
+			name string
+			ref  bool
+		}{{"ref", true}, {"kernel", false}} {
+			b.Run(fmt.Sprintf("len=%d/impl=%s", n, impl.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sim.Simulate(tr, []bp.Predictor{core.NewSelective("sel3", 16, sels.BySize[3])}, sim.Options{ForceReference: impl.ref})
+				}
+				b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+			})
+		}
 	}
 }
 

@@ -2,10 +2,10 @@
 // cross-checking the bplint kernel-purity analysis of the
 // //bplint:hot-annotated stream functions. The per-record machinery —
 // window emission and beam-state collection — must be allocation-free
-// once its epoch scratch and key buffer exist; only the amortized miss
-// paths (candidate-table growth, watermark prunes) and the once-per-
-// branch scoring setup may allocate, and those carry justified
-// //bplint:ignore directives in oracle_kernel.go.
+// once its epoch scratch, key buffer and instance matrices exist; only
+// the amortized miss paths (candidate-table growth, watermark prunes)
+// and the once-per-branch scoring setup may allocate, and those carry
+// justified //bplint:ignore directives in oracle_kernel.go.
 package core
 
 import "testing"
@@ -29,37 +29,32 @@ func TestOracleEmitterAllocs(t *testing.T) {
 }
 
 // TestCollectStreamAllocs pins the pass-2/3 collection loop's steady
-// state: with every instance matrix preallocated to its branch's
-// dynamic count (as newBeamMatcher sizes it), replaying the stream over
-// reset matrices allocates nothing per record.
+// state: with every instance matrix sized to its branch's dynamic count
+// (as buildBeams sizes it), replaying the stream over reset matrices
+// allocates nothing per record.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
 	cfg := OracleConfig{WindowLen: 8}.withDefaults()
 	cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
-	matchers := make([]*beamMatcher, pt.NumBranches())
-	var all []*beamMatcher
-	for pc, c := range cands {
-		if len(c.Refs) == 0 {
-			continue
-		}
-		if rid, ok := pt.IDOf(pc); ok {
-			bm := newBeamMatcher(pt.IDOf, c.Refs, c.Total)
-			matchers[rid] = bm
-			all = append(all, bm)
-		}
-	}
-	em := newPackedEmitter(pt, cfg.WindowLen)
-	collectRange(em, matchers, 0, pt.Len()) // warm the emitter scratch
-	allocs := testing.AllocsPerRun(3, func() {
-		for _, bm := range all {
-			bm.m.vecs = bm.m.vecs[:0]
-			bm.m.outs = bm.m.outs[:0]
+	beams, hists, beamOf := buildBeams(pt, sortedPCs(cands), cands)
+	reset := func() {
+		for _, bm := range beamOf {
+			clear(bm.m.outs)
 			bm.m.n = 0
 		}
-		collectRange(em, matchers, 0, pt.Len())
+		for _, h := range hists {
+			if h != nil {
+				*h = instHist{}
+			}
+		}
+	}
+	collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
+	allocs := testing.AllocsPerRun(3, func() {
+		reset()
+		collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
 	})
 	if allocs != 0 {
-		t.Errorf("collectStream allocates %.1f per full replay, want 0", allocs)
+		t.Errorf("collectBeams allocates %.1f per full replay, want 0", allocs)
 	}
 }

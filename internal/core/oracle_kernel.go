@@ -16,18 +16,21 @@ import (
 // Candidates and Selections — but over the packed (SoA, dense-ID) trace
 // view, with three structural changes:
 //
-//   - window tag resolution is a flat backward scan over the dense-ID
-//     column with epoch-stamped occurrence/segment scratch arrays, not a
-//     closure-based walk with linear per-PC searches (oracleEmitter);
+//   - pass 1's window tag resolution is a flat backward scan over the
+//     dense-ID column with epoch-stamped occurrence/segment scratch
+//     arrays, not a closure-based walk with linear per-PC searches
+//     (oracleEmitter) — pass 1 must enumerate every candidate, so it
+//     still walks the window;
 //   - pass 1's per-(record × window-entry) map[Ref]*candStats lookups
 //     become open-addressed flat candidate tables keyed by packed ref
 //     keys (candTable);
 //   - the reference's pass 2 (all pairs) and pass 3 (triple extensions)
 //     trace streams fold into ONE stream that records each dynamic
 //     instance's 2-bit-per-candidate state vector into a per-branch
-//     instance matrix; pairs and triples are then scored off-trace with
-//     bit-sliced popcount kernels, embarrassingly parallel per branch
-//     through the internal/runner worker pool.
+//     instance matrix, each beam slot resolved in O(1) through the
+//     instance index (instindex.go); pairs and triples are then scored
+//     off-trace with bit-sliced popcount kernels, embarrassingly
+//     parallel per branch through the internal/runner worker pool.
 //
 // Net: 3 trace passes -> 2, no per-candidate allocations, no closures in
 // the per-record loop.
@@ -394,91 +397,32 @@ func profileRange(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig,
 
 // instMatrix stores, for one static branch, each dynamic instance's
 // packed candidate-state vector (2 bits per beam candidate: StateTaken,
-// StateNotTaken or StateAbsent) and its outcome bitset.
+// StateNotTaken or StateAbsent) and its outcome bitset. Both are sized
+// to the branch's dynamic count up front, so push never allocates.
 type instMatrix struct {
 	vecs []uint64
 	outs []uint64 // bit t = instance t resolved taken
 	n    int
 }
 
+func newInstMatrix(total int) instMatrix {
+	return instMatrix{vecs: make([]uint64, total), outs: make([]uint64, (total+63)/64)}
+}
+
 func (m *instMatrix) push(vec uint64, taken bool) {
-	if m.n&63 == 0 {
-		m.outs = append(m.outs, 0)
-	}
+	m.vecs[m.n] = vec
 	if taken {
 		m.outs[m.n>>6] |= 1 << (uint(m.n) & 63)
 	}
-	m.vecs = append(m.vecs, vec)
 	m.n++
 }
 
-// beamMatcher resolves emitted ref keys against one branch's beam: a
-// sorted key array with parallel beam-slot indices, binary-searched per
-// emission. absentVec is the k-candidate all-StateAbsent vector the
-// resolution starts from.
-type beamMatcher struct {
-	keys      []uint64
-	slots     []uint8
-	k         int
-	fullMask  uint32
-	absentVec uint64
-	m         instMatrix
-}
-
-// newBeamMatcher builds a matcher for one branch's beam. idOf resolves a
-// PC to its dense ID in the trace's intern table (Packed.IDOf).
-func newBeamMatcher(idOf func(trace.Addr) (int32, bool), refs []Ref, total int) *beamMatcher {
-	bm := &beamMatcher{k: len(refs), fullMask: uint32(1)<<uint(len(refs)) - 1}
-	for slot := 0; slot < len(refs); slot++ {
-		bm.absentVec |= uint64(StateAbsent) << (2 * uint(slot))
-	}
-	type keySlot struct {
-		key  uint64
-		slot uint8
-	}
-	pairs := make([]keySlot, 0, len(refs))
-	for slot, r := range refs {
-		rid, ok := idOf(r.PC)
-		if !ok {
-			// A ref naming a PC absent from the trace can never be in any
-			// window: it stays StateAbsent, exactly like the reference's
-			// States resolution.
-			continue
-		}
-		key := refKeyOcc(rid, r.Tag)
-		if r.Scheme == BackwardCount {
-			key = refKeyBack(rid, r.Tag)
-		}
-		pairs = append(pairs, keySlot{key, uint8(slot)})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
-	bm.keys = make([]uint64, len(pairs))
-	bm.slots = make([]uint8, len(pairs))
-	for i, p := range pairs {
-		bm.keys[i] = p.key
-		bm.slots[i] = p.slot
-	}
-	bm.m.vecs = make([]uint64, 0, total)
-	bm.m.outs = make([]uint64, 0, (total+63)/64)
-	return bm
-}
-
-// lookup returns the sorted-key index of key, or -1.
-func (bm *beamMatcher) lookup(key uint64) int {
-	keys := bm.keys
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(keys) && keys[lo] == key {
-		return lo
-	}
-	return -1
+// beam is one branch's select-pass state: its beam candidates bound to
+// the instance index, slot i resolving beam candidate i, and the
+// instance matrix the collection stream fills.
+type beam struct {
+	refs []histRef
+	m    instMatrix
 }
 
 // branchSelection is one branch's scored selections, written into a
@@ -501,14 +445,13 @@ func selectPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg Oracle
 	defer obs.Or(cfg.Obs).StartSpan("core.oracle.select").End()
 
 	pcs := sortedPCs(cands)
-	matchers, matcherOf := buildMatchers(pcs, cands, pt.NumBranches(), pt.IDOf)
+	beams, hists, beamOf := buildBeams(pt, pcs, cands)
 
 	// Collection stream: one pass over the trace, one packed state
 	// vector per dynamic instance.
-	em := newPackedEmitter(pt, cfg.WindowLen)
-	collectRange(em, matchers, 0, pt.Len())
+	collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
 
-	return scoreSelections(pcs, cands, matcherOf, cfg)
+	return scoreSelections(pcs, cands, beamOf, cfg)
 }
 
 // sortedPCs returns the canonical branch order: candidate-map keys,
@@ -523,30 +466,50 @@ func sortedPCs(cands map[trace.Addr]*Candidates) []trace.Addr {
 	return pcs
 }
 
-// buildMatchers constructs one beam matcher per branch with a non-empty
-// beam, both dense-ID indexed (for the collection loop) and keyed by PC
-// (for the scoring stage).
-func buildMatchers(pcs []trace.Addr, cands map[trace.Addr]*Candidates, nb int, idOf func(trace.Addr) (int32, bool)) ([]*beamMatcher, map[trace.Addr]*beamMatcher) {
-	matchers := make([]*beamMatcher, nb)
-	matcherOf := make(map[trace.Addr]*beamMatcher, len(cands))
+// buildBeams binds every non-empty beam to the instance index, both
+// dense-ID indexed (for the collection loop) and keyed by PC (for the
+// scoring stage), and returns the per-dense-ID histories of the PCs some
+// beam candidate names (nil for the rest). A candidate naming a PC
+// absent from the trace binds to no history: it can never be in any
+// window, so it stays StateAbsent, exactly like the reference's States
+// resolution.
+func buildBeams(pt *trace.Packed, pcs []trace.Addr, cands map[trace.Addr]*Candidates) ([]*beam, []*instHist, map[trace.Addr]*beam) {
+	beams := make([]*beam, pt.NumBranches())
+	hists := make([]*instHist, pt.NumBranches())
+	beamOf := make(map[trace.Addr]*beam, len(cands))
+	histOf := func(pc trace.Addr) *instHist {
+		id, ok := pt.IDOf(pc)
+		if !ok {
+			return nil
+		}
+		if hists[id] == nil {
+			hists[id] = new(instHist)
+		}
+		return hists[id]
+	}
+	counts := pt.Counts()
 	for _, pc := range pcs {
 		c := cands[pc]
 		if len(c.Refs) == 0 {
 			continue
 		}
-		bm := newBeamMatcher(idOf, c.Refs, c.Total)
-		matcherOf[pc] = bm
-		if rid, ok := idOf(pc); ok {
-			matchers[rid] = bm
+		bm := &beam{refs: make([]histRef, len(c.Refs))}
+		for slot, r := range c.Refs {
+			bm.refs[slot] = bindRef(r, histOf)
+		}
+		beamOf[pc] = bm
+		if id, ok := pt.IDOf(pc); ok {
+			bm.m = newInstMatrix(int(counts[id]))
+			beams[id] = bm
 		}
 	}
-	return matchers, matcherOf
+	return beams, hists, beamOf
 }
 
 // scoreSelections runs the off-trace scoring stage — per-branch,
 // embarrassingly parallel, pre-assigned result slots — and assembles the
 // Selections.
-func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcherOf map[trace.Addr]*beamMatcher, cfg OracleConfig) *Selections {
+func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, beamOf map[trace.Addr]*beam, cfg OracleConfig) *Selections {
 	results := make([]branchSelection, len(pcs))
 	cells := make([]runner.Cell, 0, len(pcs))
 	for i, pc := range pcs {
@@ -554,7 +517,7 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 		if len(c.Refs) == 0 {
 			continue
 		}
-		i, bm, refs := i, matcherOf[pc], c.Refs
+		i, bm, refs := i, beamOf[pc], c.Refs
 		cells = append(cells, runner.Cell{
 			Exhibit:  "oracle-score",
 			Workload: fmt.Sprintf("0x%x", uint32(pc)),
@@ -585,44 +548,25 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, matcher
 	return sel
 }
 
-// collectRange is the folded pass-2/3 per-record loop over emitter
-// column positions [lo, hi): for every dynamic instance of a branch with
-// a beam, resolve the window's emissions against the beam and push the
-// packed state vector. The active matcher changes every record, so its
-// headers cannot hoist above the record loop.
+// collectBeams is the folded pass-2/3 per-record loop: for every
+// dynamic instance of a branch with a beam, resolve each beam slot
+// through the instance index within the last n records and push the
+// packed state vector, then commit the record to the index.
 //
 //bplint:hot
-func collectRange(em *oracleEmitter, matchers []*beamMatcher, lo, hi int) {
-	ids := em.ids
-	for i := lo; i < hi; i++ {
-		bm := matchers[ids[i]]
-		if bm == nil {
-			continue
+func collectBeams(pt *trace.Packed, beams []*beam, hists []*instHist, n uint64) {
+	taken, back := pt.TakenWords(), pt.BackwardWords()
+	var ix instIndex
+	for i, id := range pt.IDs() {
+		t := taken[i>>6] >> (uint(i) & 63) & 1
+		if bm := beams[id]; bm != nil {
+			vec := uint64(0)
+			for slot, r := range bm.refs {
+				vec |= uint64(ix.state(r, n)) << (2 * uint(slot))
+			}
+			bm.m.push(vec, t != 0)
 		}
-		em.emit(i)
-		vec := bm.absentVec
-		resolved := uint32(0)
-		for _, key := range em.keys {
-			ki := bm.lookup(key &^ refKeyTakenBit)
-			if ki < 0 {
-				continue
-			}
-			slot := bm.slots[ki] //bplint:ignore bce-hoist bm is selected per record; its slot array cannot hoist above the record loop
-			bit := uint32(1) << slot
-			if resolved&bit != 0 {
-				continue // an earlier (more recent) instance owns the ref
-			}
-			resolved |= bit
-			st := uint64(StateTaken)
-			if key&refKeyTakenBit == 0 {
-				st = uint64(StateNotTaken)
-			}
-			vec = vec&^(3<<(2*uint64(slot))) | st<<(2*uint64(slot))
-			if resolved == bm.fullMask {
-				break
-			}
-		}
-		bm.m.push(vec, em.taken1(i)) //bplint:ignore kernel-purity matrix buffers are preallocated to the branch's instance count in newBeamMatcher; pushes never grow
+		ix.push(hists[id], t, back[i>>6]>>(uint(i)&63)&1)
 	}
 }
 

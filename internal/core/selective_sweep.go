@@ -21,27 +21,36 @@ type SelectiveConfig struct {
 // SelectiveSweep is the fused grid over a set of selective-history
 // configurations: one walk of the packed columns drives every config.
 //
-// What is shared is the history window itself. Both tagging schemes
-// resolve an entry's tag from strictly more-recent entries, so the first
-// n steps of a walk over a maximal-capacity ring are exactly the walk a
-// dedicated n-entry window would produce (Window.StatesWithin) — one
-// ring sized to the largest config serves every window length, and the
-// per-record Push is paid once instead of once per config. Per config:
-// the pattern-counter tables and the ref lookups, held as dense per-ID
-// columns so the per-record replay does no map access.
+// What is shared is the instance index (instindex.go). A window length
+// only sets the cutoff a ref's instance must pass, so one index fed the
+// stream once serves every config's window, and the per-record push is
+// paid once instead of once per config. Per config: the pattern counters
+// and the bound refs, held as dense per-ID cells so the per-record
+// replay does no map access.
 //
 // SweepBlock is observationally identical, per config, to replaying the
 // records through NewSelectiveMode(cfg...): the resolved pattern trains
 // the same counter the scalar Predict/Update pair would, and the shared
-// window commits the record after all configs resolved against it, the
+// index commits the record after all configs resolved against it, the
 // scalar ordering (Update pushes after training).
 type SelectiveSweep struct {
 	gridName string
 	cfgs     []SelectiveConfig
-	win      *Window
-	tables   [][][]bp.Counter2 // [config][dense ID] -> pattern counters
-	refs     [][][]Ref         // [config][dense ID] -> assigned refs
-	states   [MaxSelectiveRefs]State
+	wins     []uint64   // per-config window length
+	codes    []modeCode // per-config pattern digits
+	hists    map[trace.Addr]*instHist
+	bound    []map[trace.Addr][]histRef // per config: branch -> bound refs
+	ix       instIndex
+	self     []*instHist   // [dense ID] -> own history (nil if unnamed)
+	cells    []selCell     // [dense ID*len(cfgs) + config]
+	counters []bp.Counter2 // every cell's pattern counters, back to back
+}
+
+// selCell is one branch under one config: its bound refs and the offset
+// of its pattern counters in the grid's counter arena.
+type selCell struct {
+	refs []histRef
+	base int32
 }
 
 // NewSelectiveSweep returns a fused grid over cfgs in argument order.
@@ -51,26 +60,34 @@ func NewSelectiveSweep(gridName string, cfgs []SelectiveConfig) *SelectiveSweep 
 	if len(cfgs) == 0 {
 		panic("core: selective sweep needs at least one config")
 	}
-	maxWin := 0
-	for _, cfg := range cfgs {
+	g := &SelectiveSweep{
+		gridName: gridName,
+		cfgs:     append([]SelectiveConfig(nil), cfgs...),
+		wins:     make([]uint64, len(cfgs)),
+		codes:    make([]modeCode, len(cfgs)),
+		hists:    make(map[trace.Addr]*instHist),
+		bound:    make([]map[trace.Addr][]histRef, len(cfgs)),
+	}
+	for c, cfg := range cfgs {
 		if cfg.Window <= 0 {
 			panic(fmt.Sprintf("core: selective sweep config %q window length %d must be positive", cfg.Name, cfg.Window))
 		}
-		maxWin = max(maxWin, cfg.Window)
-		for pc, refs := range cfg.Assign {
-			if len(refs) > MaxSelectiveRefs {
-				panic(fmt.Sprintf("core: branch 0x%x assigned %d refs, max %d",
-					uint32(pc), len(refs), MaxSelectiveRefs))
+		checkAssignment(cfg.Assign)
+		for pc, h := range namedHists(cfg.Assign) {
+			if g.hists[pc] == nil {
+				g.hists[pc] = h
 			}
 		}
+		g.wins[c] = uint64(cfg.Window)
+		g.codes[c] = codeOf(cfg.Mode)
 	}
-	return &SelectiveSweep{
-		gridName: gridName,
-		cfgs:     append([]SelectiveConfig(nil), cfgs...),
-		win:      NewWindow(maxWin),
-		tables:   make([][][]bp.Counter2, len(cfgs)),
-		refs:     make([][][]Ref, len(cfgs)),
+	for c, cfg := range cfgs {
+		g.bound[c] = make(map[trace.Addr][]histRef, len(cfg.Assign))
+		for pc, refs := range cfg.Assign {
+			g.bound[c][pc] = bindRefs(refs, g.hists)
+		}
 	}
+	return g
 }
 
 // GridName implements bp.SweepGrid.
@@ -95,8 +112,8 @@ func (g *SelectiveSweep) Configs() []bp.Predictor {
 }
 
 // Shard implements bp.SweepGrid: a fresh fused grid over the configs
-// [lo, hi) (each shard owns a private window, which is exact: the window
-// contents are stream-determined).
+// [lo, hi) (each shard owns a private instance index, which is exact:
+// the index contents are stream-determined).
 func (g *SelectiveSweep) Shard(lo, hi int) bp.SweepGrid {
 	checkSelShardRange(lo, hi, len(g.cfgs))
 	return NewSelectiveSweep(g.gridName, g.cfgs[lo:hi])
@@ -108,71 +125,55 @@ func checkSelShardRange(lo, hi, n int) {
 	}
 }
 
-// extend grows each config's per-ID ref and table columns to cover
-// addrs, computing entries only for newly interned IDs. Tables are
-// pre-created here (pow3-sized by ref count) so the replay loop never
-// allocates; the amortized-doubling growth mirrors the bp sweep columns.
+// extend grows the per-ID columns to cover addrs, computing cells only
+// for newly interned IDs. Counters are laid out here (pow3-sized by ref
+// count) so the replay loop never allocates; the amortized-doubling
+// growth mirrors the bp sweep columns.
 func (g *SelectiveSweep) extend(addrs []trace.Addr) {
-	for c := range g.cfgs {
-		if len(addrs) <= len(g.refs[c]) {
-			continue
-		}
-		refs := make([][]Ref, len(addrs), max(len(addrs), 2*cap(g.refs[c])))
-		tables := make([][]bp.Counter2, len(addrs), cap(refs))
-		copy(refs, g.refs[c])
-		copy(tables, g.tables[c])
-		assign := g.cfgs[c].Assign
-		for id := len(g.refs[c]); id < len(addrs); id++ {
-			r := assign[addrs[id]]
-			refs[id] = r
-			tables[id] = make([]bp.Counter2, pow3[len(r)])
-		}
-		g.refs[c] = refs
-		g.tables[c] = tables
+	old := len(g.self)
+	if len(addrs) <= old {
+		return
 	}
+	ncfg := len(g.cfgs)
+	self := make([]*instHist, old, max(len(addrs), 2*cap(g.self)))
+	copy(self, g.self)
+	cells := make([]selCell, old*ncfg, cap(self)*ncfg)
+	copy(cells, g.cells)
+	for _, pc := range addrs[old:] {
+		self = append(self, g.hists[pc])
+		for c := range g.cfgs {
+			refs := g.bound[c][pc]
+			cells = append(cells, selCell{refs: refs, base: int32(len(g.counters))})
+			g.counters = append(g.counters, make([]bp.Counter2, pow3[len(refs)])...)
+		}
+	}
+	g.self, g.cells = self, cells
 }
 
 // SweepBlock implements bp.SweepGrid.
 func (g *SelectiveSweep) SweepBlock(blk bp.KernelBlock, correct []int32) {
 	g.extend(blk.Addrs)
-	win := g.win
-	cfgs := g.cfgs
-	correct = correct[:len(cfgs)]
+	ncfg := len(g.cfgs)
+	correct = correct[:ncfg]
+	wins, codes := g.wins[:ncfg], g.codes[:ncfg]
+	self, cells, counters := g.self, g.cells, g.counters
+	ids, taken, back := blk.IDs, blk.Taken, blk.Back
+	ix := g.ix
 	for j := blk.Lo; j < blk.Hi; j++ {
-		id := blk.IDs[j]
-		taken := blk.Taken[j>>6]>>(uint(j)&63)&1 != 0
-		for c := range cfgs {
-			refs := g.refs[c][id]
-			tbl := g.tables[c][id]
-			idx := 0
-			if len(refs) > 0 {
-				st := g.states[:len(refs)]
-				win.StatesWithin(cfgs[c].Window, refs, st)
-				if cfgs[c].Mode == ModePresence {
-					for i := len(refs) - 1; i >= 0; i-- {
-						idx <<= 1
-						if st[i] != StateAbsent {
-							idx |= 1
-						}
-					}
-				} else {
-					for i := len(refs) - 1; i >= 0; i-- {
-						idx = idx*NumStates + int(st[i])
-					}
-				}
-			}
-			cnt := tbl[idx]
-			if cnt.Taken() == taken {
+		id := int(ids[j])
+		t := taken[j>>6] >> (uint(j) & 63) & 1
+		row := cells[id*ncfg : id*ncfg+ncfg]
+		for c := range row {
+			k := int(row[c].base) + ix.pattern(row[c].refs, wins[c], &codes[c])
+			cnt := counters[k]
+			if cnt.Taken() == (t != 0) {
 				correct[c]++
 			}
-			tbl[idx] = cnt.Next(taken)
+			counters[k] = cnt.Next(t != 0)
 		}
-		win.Push(trace.Record{
-			PC:       blk.Addrs[id],
-			Taken:    taken,
-			Backward: blk.Back[j>>6]>>(uint(j)&63)&1 != 0,
-		})
+		ix.push(self[id], t, back[j>>6]>>(uint(j)&63)&1)
 	}
+	g.ix = ix
 }
 
 var _ bp.SweepGrid = (*SelectiveSweep)(nil)

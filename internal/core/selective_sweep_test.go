@@ -203,38 +203,35 @@ func TestSelectiveSweepValidation(t *testing.T) {
 	}
 }
 
-// TestStatesWithinMatchesDedicatedWindow is the prefix property the
-// fused window sharing rests on: resolving refs within the n most
-// recent entries of a large ring must equal resolving them against a
+// TestInstIndexMatchesDedicatedWindow is the prefix property the fused
+// sweep's shared index rests on: resolving refs through one instance
+// index with an n-record cutoff must equal resolving them against a
 // dedicated n-capacity window fed the identical stream, at every step.
-func TestStatesWithinMatchesDedicatedWindow(t *testing.T) {
+func TestInstIndexMatchesDedicatedWindow(t *testing.T) {
 	tr := selSweepTrace(600)
 	refs := []Ref{
 		{0x100, Occurrence, 0}, {0x100, Occurrence, 2}, {0x200, Occurrence, 1},
 		{0x100, BackwardCount, 1}, {0x1F0, BackwardCount, 0}, {0x300, BackwardCount, 2},
 	}
+	hists := namedHists(Assignment{0: refs})
+	bound := bindRefs(refs, hists)
 	for _, n := range []int{1, 2, 5, 16, 32} {
-		big := NewWindow(32)
+		var ix instIndex
+		for _, h := range hists {
+			*h = instHist{}
+		}
 		small := NewWindow(n)
 		wantSt := make([]State, len(refs))
-		gotSt := make([]State, len(refs))
 		for i, r := range recordsOf(tr) {
 			small.States(refs, wantSt)
-			big.StatesWithin(n, refs, gotSt)
 			for k := range refs {
-				if gotSt[k] != wantSt[k] {
-					t.Fatalf("n=%d step %d ref %v: StatesWithin %v, dedicated window %v",
-						n, i, refs[k], gotSt[k], wantSt[k])
+				if got := ix.state(bound[k], uint64(n)); got != wantSt[k] {
+					t.Fatalf("n=%d step %d ref %v: index %v, dedicated window %v",
+						n, i, refs[k], got, wantSt[k])
 				}
 			}
 			small.Push(r)
-			big.Push(r)
+			ix.push(hists[r.PC], b2u(r.Taken), b2u(r.Backward))
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("StatesWithin(0) did not panic")
-		}
-	}()
-	NewWindow(4).StatesWithin(0, refs, make([]State, len(refs)))
 }

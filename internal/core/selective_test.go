@@ -241,9 +241,12 @@ func TestSelectiveMemoizationDifferentPC(t *testing.T) {
 	p.Update(r2)  // different PC: must recompute, not reuse
 	p.Update(r1)
 	// No assertion beyond "does not panic / trains the right tables":
-	// verify tables exist for both branches with the right sizes.
-	if len(p.tables[0x100]) != 3 || len(p.tables[0x200]) != 3 {
-		t.Fatalf("table sizes: %d, %d", len(p.tables[0x100]), len(p.tables[0x200]))
+	// verify both branches have their one-ref slots.
+	for _, pc := range []trace.Addr{0x100, 0x200} {
+		i, ok := p.slotOf.find(pc)
+		if !ok || len(p.slots[i].refs) != 1 {
+			t.Fatalf("branch %#x: slot found %v, refs %d", uint32(pc), ok, len(p.slots[i].refs))
+		}
 	}
 }
 

@@ -17,16 +17,17 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // metricsConfig is the fixed workload the metrics tests run: small
-// enough for CI, but covering the fast path (fig4's gshare and IF-gshare
-// and the extra specs), the reference path (fig4's selective
-// predictors), the oracle passes, the shared per-branch bundle, and the
+// enough for CI, but covering the fast path (fig4's selective
+// predictors, gshare and IF-gshare, and the kernel-backed extra specs),
+// the reference path (the extra "block" spec, which has no batched
+// kernel), the oracle passes, the shared per-branch bundle, and the
 // user-spec extra exhibit.
 func metricsConfig(reg *obs.Registry) Config {
 	return Config{
 		Length:      20_000,
 		Workloads:   []string{"gcc", "perl"},
 		Fig5Windows: []int{8},
-		ExtraSpecs:  []string{"gshare:12", "bimodal:10"},
+		ExtraSpecs:  []string{"gshare:12", "bimodal:10", "block"},
 		Obs:         reg,
 	}
 }

@@ -327,13 +327,10 @@ func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 			core.NewSelective(fmt.Sprintf("IF 3-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[3]),
 		}
 		s.log("%s: simulating selective + gshare predictors", tr.Name())
-		// Two batches: the selective predictors have no batched kernels,
-		// while (IF-)gshare do — batching them separately lets the second
-		// call take sim's columnar fast path. Predictors are independent,
-		// so the split leaves every Result bit-identical.
-		rs := s.simRun(tr, selective...)
-		gs := s.simRun(tr, s.newIFGshare(), s.newGshare())
-		b := &globalBundle{ifg: gs[0], g: gs[1], sels: sels}
+		// One batch: every predictor here has a batched kernel, so all
+		// five take sim's columnar fast path.
+		rs := s.simRun(tr, append(selective, s.newIFGshare(), s.newGshare())...)
+		b := &globalBundle{ifg: rs[3], g: rs[4], sels: sels}
 		b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
 		return b
 	})
