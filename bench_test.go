@@ -33,13 +33,16 @@ import (
 // full-scale runs live in cmd/experiments.
 const benchLength = 100_000
 
-// benchSuite caches one suite across benchmarks (trace generation and
-// oracle passes dominate otherwise).
-var benchSuite *experiments.Suite
-
-func suite(b *testing.B) *experiments.Suite {
+// benchExhibit regenerates one exhibit per iteration through a
+// single-exhibit BuildReport, sequentially, on a fresh suite built
+// outside the timer: each iteration computes the exhibit's per-trace
+// artifacts (oracle passes, classifications, baseline runs) instead of
+// reading an earlier iteration's memoized ones.
+func benchExhibit(b *testing.B, exhibit string) *experiments.Report {
 	b.Helper()
-	if benchSuite == nil {
+	var r *experiments.Report
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		s, err := experiments.NewSuite(experiments.Config{
 			Length:      benchLength,
 			Fig5Windows: []int{8, 16, 24},
@@ -47,9 +50,12 @@ func suite(b *testing.B) *experiments.Suite {
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSuite = s
+		b.StartTimer()
+		if r, err = s.BuildReport(context.Background(), []string{exhibit}, runner.Options{Parallel: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return benchSuite
+	return r
 }
 
 // benchTraces caches raw traces for the micro/ablation benchmarks.
@@ -179,11 +185,7 @@ func BenchmarkTable1TraceGeneration(b *testing.B) {
 // BenchmarkFigure4SelectiveHistory regenerates Figure 4 (selective
 // histories vs gshare and IF-gshare).
 func BenchmarkFigure4SelectiveHistory(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Figure4Result
-	for i := 0; i < b.N; i++ {
-		r = s.Figure4()
-	}
+	r := benchExhibit(b, "fig4").Figure4
 	for _, row := range r.Rows {
 		if row.Benchmark == "gcc" {
 			b.ReportMetric(100*row.Sel[3], "%acc-sel3-gcc")
@@ -195,22 +197,14 @@ func BenchmarkFigure4SelectiveHistory(b *testing.B) {
 // BenchmarkFigure5HistoryLength regenerates Figure 5 (accuracy vs history
 // window length).
 func BenchmarkFigure5HistoryLength(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Figure5Result
-	for i := 0; i < b.N; i++ {
-		r = s.Figure5()
-	}
+	r := benchExhibit(b, "fig5").Figure5
 	b.ReportMetric(100*r.Acc[0][len(r.Windows)-1], "%acc-longest-window")
 }
 
 // BenchmarkTable2GshareCorr regenerates Table 2 (gshare w/ and w/o the
 // strongest correlation).
 func BenchmarkTable2GshareCorr(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		r = s.Table2()
-	}
+	r := benchExhibit(b, "table2").Table2
 	for _, row := range r.Rows {
 		if row.Benchmark == "gcc" {
 			b.ReportMetric(100*(row.GshareCorr-row.Gshare), "pp-gain-gcc")
@@ -221,11 +215,7 @@ func BenchmarkTable2GshareCorr(b *testing.B) {
 // BenchmarkFigure6Classes regenerates Figure 6 (per-address
 // predictability class distribution).
 func BenchmarkFigure6Classes(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Figure6Result
-	for i := 0; i < b.N; i++ {
-		r = s.Figure6()
-	}
+	r := benchExhibit(b, "fig6").Figure6
 	avgLoop := 0.0
 	for _, row := range r.Rows {
 		avgLoop += row.Frac[core.ClassLoop]
@@ -236,11 +226,7 @@ func BenchmarkFigure6Classes(b *testing.B) {
 // BenchmarkTable3PAsLoop regenerates Table 3 (PAs w/ and w/o the loop
 // enhancement).
 func BenchmarkTable3PAsLoop(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Table3Result
-	for i := 0; i < b.N; i++ {
-		r = s.Table3()
-	}
+	r := benchExhibit(b, "table3").Table3
 	gain := 0.0
 	for _, row := range r.Rows {
 		gain += row.PAsLoop - row.PAs
@@ -251,11 +237,7 @@ func BenchmarkTable3PAsLoop(b *testing.B) {
 // BenchmarkFigure7BestPredictor regenerates Figure 7 (gshare vs PAs vs
 // ideal static distribution).
 func BenchmarkFigure7BestPredictor(b *testing.B) {
-	s := suite(b)
-	var r *experiments.SplitResult
-	for i := 0; i < b.N; i++ {
-		r = s.Figure7()
-	}
+	r := benchExhibit(b, "fig7").Figure7
 	avg := 0.0
 	for _, row := range r.Rows {
 		avg += row.Frac[core.CatStatic]
@@ -266,11 +248,7 @@ func BenchmarkFigure7BestPredictor(b *testing.B) {
 // BenchmarkFigure8BestClass regenerates Figure 8 (predictability-class
 // distribution).
 func BenchmarkFigure8BestClass(b *testing.B) {
-	s := suite(b)
-	var r *experiments.SplitResult
-	for i := 0; i < b.N; i++ {
-		r = s.Figure8()
-	}
+	r := benchExhibit(b, "fig8").Figure8
 	avg := 0.0
 	for _, row := range r.Rows {
 		avg += row.Frac[core.CatStatic]
@@ -281,15 +259,7 @@ func BenchmarkFigure8BestClass(b *testing.B) {
 // BenchmarkFigure9Percentile regenerates Figure 9 (gshare − PAs accuracy
 // percentile curves).
 func BenchmarkFigure9Percentile(b *testing.B) {
-	s := suite(b)
-	var r *experiments.Figure9Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = s.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	r := benchExhibit(b, "fig9").Figure9
 	b.ReportMetric(r.Diff[0][len(r.Diff[0])-1], "pp-gshare-best-tail")
 }
 
@@ -297,11 +267,7 @@ func BenchmarkFigure9Percentile(b *testing.B) {
 // decomposition (extension exhibit; section 3.1's two correlation
 // kinds).
 func BenchmarkExtensionInPath(b *testing.B) {
-	s := suite(b)
-	var r *experiments.InPathResult
-	for i := 0; i < b.N; i++ {
-		r = s.InPath()
-	}
+	r := benchExhibit(b, "inpath").InPath
 	gap := 0.0
 	for _, row := range r.Rows {
 		gap += row.Presence - row.Static

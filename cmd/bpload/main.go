@@ -46,7 +46,7 @@ func mix(n int) []request {
 	tr := func(wl string) string { return fmt.Sprintf(`{"workload":%q,"n":%d}`, wl, n) }
 	for _, wl := range []string{"gcc", "compress", "xlisp", "go"} {
 		add("/v1/simulate", fmt.Sprintf(`{"trace":%s,"specs":["gshare:8","bimodal:8"]}`, tr(wl)))
-		add("/v1/simulate", fmt.Sprintf(`{"trace":%s,"specs":["gshare:8","bimodal:8"]}`, tr(wl))) // dup
+		add("/v1/simulate", fmt.Sprintf(`{"trace":%s,"specs":["gshare:8","bimodal:8"]}`, tr(wl)))   // dup
 		add("/v1/simulate", fmt.Sprintf(`{"trace":%s,"specs":["gshare:010","bimodal:8"]}`, tr(wl))) // equivalent spelling
 		add("/v1/sweep", fmt.Sprintf(`{"trace":%s,"grid":{"family":"gshare-hist","hist":[4,6,8]}}`, tr(wl)))
 		add("/v1/classify", fmt.Sprintf(`{"trace":%s}`, tr(wl)))

@@ -48,14 +48,14 @@ type options struct {
 	exhibits    string
 	parallel    int
 	sweepShards int
-	quiet      bool
-	asJSON     bool
-	cpuprofile string
-	memprofile string
-	metrics    string
-	debugAddr  string
-	corpusDir  string
-	specs      []string
+	quiet       bool
+	asJSON      bool
+	cpuprofile  string
+	memprofile  string
+	metrics     string
+	debugAddr   string
+	corpusDir   string
+	specs       []string
 }
 
 func main() {
@@ -161,12 +161,10 @@ func run(o options) (err error) {
 	if err != nil {
 		return err
 	}
-	cfg = suite.Config() // pick up the suite's defaults (fig9 benchmarks etc.)
 
-	// fig9 needs gcc and perl unless overridden alongside -workloads.
-	if want["fig9"] && o.wls != "" && !suite.Fig9Available() {
-		fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (needs %s in -workloads)\n",
-			strings.Join(cfg.Fig9Benchmarks, " and "))
+	// fig9 plots gcc and perl, which -workloads can leave out.
+	if want["fig9"] && !suite.Fig9Available() {
+		fmt.Fprintln(os.Stderr, "experiments: skipping fig9 (needs gcc and perl in -workloads)")
 		delete(want, "fig9")
 	}
 	var names []string
@@ -183,13 +181,8 @@ func run(o options) (err error) {
 	if o.asJSON {
 		return report.WriteJSON(os.Stdout)
 	}
-	for _, e := range names {
-		if out, ok := report.RenderExhibit(e); ok {
-			logf("%s done", e)
-			fmt.Println(out)
-		}
-	}
-	return nil
+	_, err = fmt.Print(report.Render())
+	return err
 }
 
 // writeMemProfile snapshots the allocation profile after a final GC, so

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/experiments"
 )
 
@@ -39,10 +41,10 @@ func TestWantExhibitsUnknown(t *testing.T) {
 // validation bug: the fig9 check used to read a shadowed Config whose
 // Fig9Benchmarks came from suite defaults while the outer (pre-default)
 // config was the one main kept using. The skip decision is now
-// Suite.Fig9Available against the defaulted config.
+// Suite.Fig9Available against the suite's traces.
 func TestFig9WorkloadSubsetSkip(t *testing.T) {
-	// A -workloads subset without perl: fig9 (gcc+perl by default) must
-	// report unavailable.
+	// A -workloads subset without perl: fig9 (gcc and perl) must report
+	// unavailable.
 	subset, err := experiments.NewSuite(experiments.Config{
 		Length:    2_000,
 		Workloads: []string{"gcc", "compress"},
@@ -52,9 +54,6 @@ func TestFig9WorkloadSubsetSkip(t *testing.T) {
 	}
 	if subset.Fig9Available() {
 		t.Error("fig9 reported available without perl in the suite")
-	}
-	if got := subset.Config().Fig9Benchmarks; len(got) != 2 {
-		t.Errorf("defaulted Fig9Benchmarks = %v", got)
 	}
 
 	// With both default fig9 benchmarks present it must be available.
@@ -67,5 +66,24 @@ func TestFig9WorkloadSubsetSkip(t *testing.T) {
 	}
 	if !full.Fig9Available() {
 		t.Error("fig9 reported unavailable with gcc and perl present")
+	}
+}
+
+// TestRunUnknownExhibit pins the one-prefix diagnostic: main prints
+// "experiments: " before the error, so the error must not repeat it.
+func TestRunUnknownExhibit(t *testing.T) {
+	err := run(options{n: 1_000, exhibits: "table1,bogus", quiet: true})
+	if err == nil || !strings.HasPrefix(err.Error(), `unknown exhibit "bogus"`) {
+		t.Errorf("err = %v, want it to start with the unknown exhibit", err)
+	}
+}
+
+// TestRunRejectsBadSpec pins that a bad -p fails the run up front, even
+// when no requested exhibit would run it.
+func TestRunRejectsBadSpec(t *testing.T) {
+	err := run(options{n: 1_000, wls: "gcc", exhibits: "table1", quiet: true, specs: []string{"bogus"}})
+	var pe *bp.ParseError
+	if !errors.As(err, &pe) || pe.Token != "bogus" {
+		t.Errorf("err = %v, want a parse error naming bogus", err)
 	}
 }

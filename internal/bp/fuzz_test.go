@@ -13,8 +13,8 @@ func FuzzParse(f *testing.F) {
 	for _, s := range KnownSpecs() {
 		f.Add(s)
 	}
-	f.Add("gshare:200")       // out-of-range geometry: must error, not panic
-	f.Add("pas:8,8")          // arity mismatch
+	f.Add("gshare:200") // out-of-range geometry: must error, not panic
+	f.Add("pas:8,8")    // arity mismatch
 	f.Add("hybrid:(gshare:10),(bimodal:8),6")
 	f.Add("hybrid:(hybrid:(gshare:1),(loop),2),(tage),3")
 	f.Add("ideal-static") // needs Env.Stats: ErrMissingContext

@@ -34,24 +34,16 @@ type CeilingResult struct {
 	Rows        []CeilingRow
 }
 
-// Ceiling computes static-table predictability ceilings at 12 history
-// bits and lines them up against interference-free adaptive predictors
-// using exactly the same 12-bit contexts. Adaptive below ceiling =
-// training-time cost; adaptive above ceiling = phase drift the static
-// table cannot track (the adaptivity question of Sechrest et al. and
-// Young et al., §2.2, answered quantitatively per benchmark).
-func (s *Suite) Ceiling() *CeilingResult {
-	res := &CeilingResult{HistoryBits: ceilingHistoryBits, Rows: make([]CeilingRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.ceilingCell(tr)
-	}
-	return res
-}
-
 // ceilingHistoryBits is the context length of the ceiling exhibit.
 const ceilingHistoryBits = 12
 
-// ceilingCell computes one benchmark's ceiling comparison.
+// ceilingCell computes one benchmark's static-table predictability
+// ceilings at 12 history bits and lines them up against
+// interference-free adaptive predictors using exactly the same 12-bit
+// contexts. Adaptive below ceiling = training-time cost; adaptive above
+// ceiling = phase drift the static table cannot track (the adaptivity
+// question of Sechrest et al. and Young et al., §2.2, answered
+// quantitatively per benchmark).
 func (s *Suite) ceilingCell(tr *trace.Trace) CeilingRow {
 	const k = ceilingHistoryBits
 	s.log("%s: entropy ceilings (k=%d)", tr.Name(), k)

@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"branchcorr/internal/bp"
 	"branchcorr/internal/core"
+	"branchcorr/internal/obs"
+	"branchcorr/internal/runner"
 )
 
 // testSuite builds one small shared suite (50k branches, two easy and two
@@ -29,28 +35,77 @@ func testSuite(t *testing.T) *Suite {
 	return s
 }
 
+// cachedReport is the full report over testSuite, built once.
+var cachedReport *Report
+
+func testReport(t *testing.T) *Report {
+	t.Helper()
+	if cachedReport != nil {
+		return cachedReport
+	}
+	r, err := testSuite(t).BuildReport(context.Background(), nil, runner.Options{Parallel: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cachedReport = r
+	return r
+}
+
 func TestNewSuiteUnknownWorkload(t *testing.T) {
 	if _, err := NewSuite(Config{Workloads: []string{"bogus"}}, nil); err == nil {
 		t.Error("unknown workload should fail")
 	}
 }
 
+// TestNewSuiteRejectsBadSpec pins that a spec which cannot parse fails
+// NewSuite before any trace is generated, whatever exhibits are asked
+// for later, while specs that only need profiling context pass.
+func TestNewSuiteRejectsBadSpec(t *testing.T) {
+	for _, spec := range []string{"bogus", "gshare:x", "hybrid:(gshare:12),(nope),4"} {
+		var logged []string
+		logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+		_, err := NewSuite(Config{ExtraSpecs: []string{"bimodal:12", spec}}, logf)
+		var pe *bp.ParseError
+		if !errors.As(err, &pe) || pe.Kind == bp.ErrMissingContext {
+			t.Errorf("%q: err = %v, want a parse error", spec, err)
+		}
+		if len(logged) != 0 {
+			t.Errorf("%q: the suite did work before failing: %q", spec, logged)
+		}
+	}
+
+	s, err := NewSuite(Config{
+		Length:     2_000,
+		Workloads:  []string{"gcc"},
+		ExtraSpecs: []string{"ideal-static", "profiled-gshare:10", "hybrid:(ideal-static),(loop),4"},
+	}, nil)
+	if err != nil {
+		t.Fatalf("specs that need profiling context: %v", err)
+	}
+	r, err := s.BuildReport(context.Background(), []string{"extra"}, runner.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Extra.Acc) != 1 || len(r.Extra.Acc[0]) != 3 {
+		t.Errorf("extra accuracies: %v", r.Extra.Acc)
+	}
+}
+
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Length != 1_000_000 || c.GshareBits != 16 || len(c.Workloads) != 8 {
+	if c.Length != 1_000_000 || len(c.Workloads) != 8 {
 		t.Errorf("defaults: %+v", c)
 	}
 	if len(c.Fig5Windows) != 7 || c.Fig5Windows[0] != 8 || c.Fig5Windows[6] != 32 {
 		t.Errorf("Fig5Windows: %v", c.Fig5Windows)
 	}
-	if len(c.Fig9Percentiles) != 21 {
-		t.Errorf("Fig9Percentiles: %v", c.Fig9Percentiles)
+	if len(fig9Percentiles) != 21 || fig9Percentiles[20] != 100 {
+		t.Errorf("fig9Percentiles: %v", fig9Percentiles)
 	}
 }
 
 func TestTable1(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table1()
+	r := testReport(t).Table1
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -69,8 +124,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure4Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure4()
+	r := testReport(t).Figure4
 	for _, row := range r.Rows {
 		// Selective accuracy must not fall with more refs (oracle
 		// selection is monotone in the profile metric; the adaptive
@@ -95,8 +149,7 @@ func TestFigure4Properties(t *testing.T) {
 }
 
 func TestFigure5Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure5()
+	r := testReport(t).Figure5
 	if len(r.Windows) != 2 || len(r.Acc) != 4 {
 		t.Fatalf("shape: %v x %d", r.Windows, len(r.Acc))
 	}
@@ -118,8 +171,7 @@ func TestFigure5Properties(t *testing.T) {
 }
 
 func TestTable2Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table2()
+	r := testReport(t).Table2
 	for _, row := range r.Rows {
 		// A max-combiner can never lose to its base predictor.
 		if row.GshareCorr < row.Gshare {
@@ -138,8 +190,7 @@ func TestTable2Properties(t *testing.T) {
 }
 
 func TestFigure6Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Figure6()
+	r := testReport(t).Figure6
 	for _, row := range r.Rows {
 		sum := 0.0
 		for _, f := range row.Frac {
@@ -164,8 +215,7 @@ func TestFigure6Properties(t *testing.T) {
 }
 
 func TestTable3Properties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Table3()
+	r := testReport(t).Table3
 	for _, row := range r.Rows {
 		// The loop combiner uses the loop predictor exactly where the
 		// classification says it is the best per-address predictor, so
@@ -184,8 +234,8 @@ func TestTable3Properties(t *testing.T) {
 }
 
 func TestFigure7And8Properties(t *testing.T) {
-	s := testSuite(t)
-	for _, r := range []*SplitResult{s.Figure7(), s.Figure8()} {
+	report := testReport(t)
+	for _, r := range []*SplitResult{report.Figure7, report.Figure8} {
 		for _, row := range r.Rows {
 			sum := row.Frac[0] + row.Frac[1] + row.Frac[2]
 			if sum < 0.999 || sum > 1.001 {
@@ -205,8 +255,7 @@ func TestFigure8StaticSmallerThanFigure7(t *testing.T) {
 	// The paper's central section 5 point: the predictability classes
 	// (Figure 8) shrink the static-best share relative to the real
 	// predictors (Figure 7) — stronger predictors claim more branches.
-	s := testSuite(t)
-	f7, f8 := s.Figure7(), s.Figure8()
+	f7, f8 := testReport(t).Figure7, testReport(t).Figure8
 	for i := range f7.Rows {
 		if f8.Rows[i].Frac[core.CatStatic] > f7.Rows[i].Frac[core.CatStatic]+0.02 {
 			t.Errorf("%s: Figure 8 static share (%.3f) exceeds Figure 7's (%.3f)",
@@ -216,11 +265,7 @@ func TestFigure8StaticSmallerThanFigure7(t *testing.T) {
 }
 
 func TestFigure9Properties(t *testing.T) {
-	s := testSuite(t)
-	r, err := s.Figure9()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := testReport(t).Figure9
 	if len(r.Diff) != 2 {
 		t.Fatalf("curves: %d", len(r.Diff))
 	}
@@ -238,22 +283,24 @@ func TestFigure9Properties(t *testing.T) {
 }
 
 func TestFigure9UnknownBenchmark(t *testing.T) {
-	s, err := NewSuite(Config{
-		Length:         2_000,
-		Workloads:      []string{"gcc"},
-		Fig9Benchmarks: []string{"perl"},
-	}, nil)
+	s, err := NewSuite(Config{Length: 2_000, Workloads: []string{"gcc", "compress"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Figure9(); err == nil {
-		t.Error("figure 9 with missing benchmark should fail")
+	if s.Fig9Available() {
+		t.Error("fig9 reported available without perl in the suite")
+	}
+	r, err := s.BuildReport(context.Background(), []string{"fig9"}, runner.Options{Parallel: 2})
+	if err == nil || r != nil {
+		t.Fatal("figure 9 with missing benchmark should fail")
+	}
+	if !strings.Contains(err.Error(), `"perl" not in suite`) {
+		t.Errorf("err = %v, want it to name perl", err)
 	}
 }
 
 func TestInPathProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.InPath()
+	r := testReport(t).InPath
 	for _, row := range r.Rows {
 		// Direction mode subsumes presence information; presence should
 		// sit between static and direction up to adaptive noise.
@@ -271,8 +318,7 @@ func TestInPathProperties(t *testing.T) {
 }
 
 func TestHybridsProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Hybrids()
+	r := testReport(t).Hybrids
 	for _, row := range r.Rows {
 		// The ideal per-branch combiner dominates both components and
 		// both real hybrids by construction.
@@ -299,8 +345,7 @@ func TestHybridsProperties(t *testing.T) {
 }
 
 func TestCeilingProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Ceiling()
+	r := testReport(t).Ceiling
 	if r.HistoryBits != 12 || len(r.Rows) != 4 {
 		t.Fatalf("shape: bits=%d rows=%d", r.HistoryBits, len(r.Rows))
 	}
@@ -326,8 +371,7 @@ func TestCeilingProperties(t *testing.T) {
 }
 
 func TestTrainingProperties(t *testing.T) {
-	s := testSuite(t)
-	r := s.Training()
+	r := testReport(t).Training
 	for _, row := range r.Rows {
 		// Warm accuracy must be at least cold accuracy for the
 		// high-state predictors (training only helps), within noise.
@@ -352,31 +396,17 @@ func TestTrainingProperties(t *testing.T) {
 	}
 }
 
-func TestTimelineFor(t *testing.T) {
-	s := testSuite(t)
-	out, err := s.TimelineFor("gcc", 10_000)
+func TestReportJSON(t *testing.T) {
+	report, err := testSuite(t).BuildReport(context.Background(), []string{"table1", "table2"}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Accuracy over time") || !strings.Contains(out, "gshare") {
-		t.Errorf("timeline render:\n%s", out)
-	}
-	if _, err := s.TimelineFor("nope", 1000); err == nil {
-		t.Error("unknown benchmark should fail")
-	}
-}
-
-func TestReportJSON(t *testing.T) {
-	s := testSuite(t)
-	report := s.NewReport()
-	report.Table1 = s.Table1()
-	report.Table2 = s.Table2()
 	var buf strings.Builder
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{`"table1"`, `"table2"`, `"gshareBits": 16`, `"gcc"`} {
+	for _, want := range []string{`"table1"`, `"table2"`, `"gshareBits": 16`, `"windowLen": 16`, `"gcc"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON missing %s", want)
 		}
@@ -386,13 +416,21 @@ func TestReportJSON(t *testing.T) {
 	}
 }
 
+// TestSuiteCaching pins the per-branch bundle's memoization: every cell
+// that reads it calls globalFor, but each trace computes it once.
 func TestSuiteCaching(t *testing.T) {
-	// globalFor must compute once per trace: run Figure4 twice and check
-	// pointer identity through the public results.
-	s := testSuite(t)
-	a := s.Figure4()
-	b := s.Figure4()
-	if a.Rows[0].Gshare != b.Rows[0].Gshare {
-		t.Error("cached results differ")
+	reg := obs.New()
+	s, err := NewSuite(Config{Length: 5_000, Workloads: []string{"gcc", "compress"}, Obs: reg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exhibits := range [][]string{{"fig4", "table2"}, {"fig4"}} {
+		if _, err := s.BuildReport(context.Background(), exhibits, runner.Options{Parallel: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls, misses := reg.Counter("suite.memo.global.calls").Value(), reg.Counter("suite.memo.global.misses").Value()
+	if calls != 6 || misses != 2 {
+		t.Errorf("suite.memo.global calls=%d misses=%d, want 6 calls (3 cells x 2 traces) and 2 misses", calls, misses)
 	}
 }

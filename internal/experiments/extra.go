@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"branchcorr/internal/bp"
 	"branchcorr/internal/textplot"
 	"branchcorr/internal/trace"
@@ -17,31 +19,10 @@ type ExtraResult struct {
 	Acc        [][]float64 `json:"acc"` // [benchmark][spec], fraction in [0,1]
 }
 
-// Extra evaluates the configured extra specs over every workload.
-func (s *Suite) Extra() (*ExtraResult, error) {
-	res := s.newExtraResult()
-	for i, tr := range s.traces {
-		row, err := s.extraCell(tr)
-		if err != nil {
-			return nil, err
-		}
-		res.Acc[i] = row
-	}
-	return res, nil
-}
-
-func (s *Suite) newExtraResult() *ExtraResult {
-	return &ExtraResult{
-		Specs:      s.cfg.ExtraSpecs,
-		Benchmarks: s.Names(),
-		Acc:        make([][]float64, len(s.traces)),
-	}
-}
-
 // extraCell parses and runs the extra specs on one benchmark. Specs
 // parse per trace with the full profiling Env, so context-hungry specs
 // (ideal-static, profiled-gshare) work per workload.
-func (s *Suite) extraCell(tr *trace.Trace) ([]float64, error) {
+func (s *Suite) extraCell(_ context.Context, tr *trace.Trace) ([]float64, error) {
 	s.log("%s: extra predictors %v", tr.Name(), s.cfg.ExtraSpecs)
 	env := bp.Env{Stats: trace.Summarize(tr), Trace: tr}
 	preds, err := bp.ParseAll(s.cfg.ExtraSpecs, env)

@@ -25,15 +25,6 @@ type Figure4Result struct {
 	Rows []Figure4Row
 }
 
-// Figure4 runs the selective-history comparison over all traces.
-func (s *Suite) Figure4() *Figure4Result {
-	res := &Figure4Result{Rows: make([]Figure4Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.figure4Cell(tr)
-	}
-	return res
-}
-
 // figure4Cell reads one benchmark's Figure 4 row from the shared
 // per-branch bundle: Table 2, Figure 8 and the in-path exhibit view the
 // same five runs (the three selective predictors, IF-gshare and gshare),
@@ -79,22 +70,6 @@ type Figure5Result struct {
 	Acc [][]float64
 }
 
-// Figure5 sweeps the history window length for the 3-branch selective
-// predictor. Each window length requires its own oracle selection (the
-// candidate set depends on the window), so this is the suite's most
-// expensive exhibit.
-func (s *Suite) Figure5() *Figure5Result {
-	res := &Figure5Result{
-		Windows:    s.cfg.Fig5Windows,
-		Benchmarks: s.Names(),
-		Acc:        make([][]float64, len(s.traces)),
-	}
-	for i, tr := range s.traces {
-		res.Acc[i] = s.figure5Cell(context.Background(), tr)
-	}
-	return res
-}
-
 // figure5Cell sweeps every configured window for one benchmark: one
 // oracle pass per window (the candidate set depends on the window — the
 // default window reuses the shared bundle's selections), then a single
@@ -102,7 +77,7 @@ func (s *Suite) Figure5() *Figure5Result {
 // trace walk. The context is consulted between oracle passes, so an
 // aborted pool stops a cell mid-collection instead of finishing the
 // suite's most expensive exhibit.
-func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
+func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) ([]float64, error) {
 	accs := make([]float64, len(s.cfg.Fig5Windows))
 	cfgs := make([]core.SelectiveConfig, 0, len(s.cfg.Fig5Windows))
 	for _, n := range s.cfg.Fig5Windows {
@@ -110,13 +85,11 @@ func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
 			break
 		}
 		var sels *core.Selections
-		if n == s.cfg.Oracle.WindowLen {
+		if n == oracleWindow {
 			sels = s.selsFor(tr) // reuse the shared selection
 		} else {
 			s.log("%s: oracle selection (window %d)", tr.Name(), n)
-			ocfg := s.cfg.Oracle
-			ocfg.WindowLen = n
-			sels = s.oracleBuild(tr, ocfg)
+			sels = s.oracleBuild(tr, s.oracleConfig(n))
 		}
 		cfgs = append(cfgs, core.SelectiveConfig{
 			Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
@@ -125,13 +98,13 @@ func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) []float64 {
 		})
 	}
 	if len(cfgs) == 0 {
-		return accs
+		return accs, ctx.Err()
 	}
 	out := s.simSweep(tr, core.NewSelectiveSweep("fig5-selective-windows", cfgs))
 	for c := range cfgs {
 		accs[c] = out.Accuracy(c)
 	}
-	return accs
+	return accs, ctx.Err()
 }
 
 // Render formats the sweep as a line chart plus a value table.
@@ -178,16 +151,8 @@ type Table2Result struct {
 	Rows []Table2Row
 }
 
-// Table2 builds the hypothetical "gshare w/ Corr" combiners.
-func (s *Suite) Table2() *Table2Result {
-	res := &Table2Result{Rows: make([]Table2Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.table2Cell(tr)
-	}
-	return res
-}
-
-// table2Cell computes one benchmark's Table 2 row.
+// table2Cell computes one benchmark's Table 2 row, with the hypothetical
+// "gshare w/ Corr" combiners.
 func (s *Suite) table2Cell(tr *trace.Trace) Table2Row {
 	b := s.globalFor(tr)
 	gCorr := sim.CombineMax("gshare w/ Corr", b.g, b.sel[1])

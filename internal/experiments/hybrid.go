@@ -49,7 +49,9 @@ func (s *Suite) figure7Split(tr *trace.Trace) *core.CategorySplit {
 }
 
 // figure8Split is Figure 8's per-trace category split over the paper's
-// predictability classes.
+// predictability classes: global is the better of interference-free
+// gshare and the 3-branch selective history, per-address is the best of
+// the section 4.1 class predictors.
 func (s *Suite) figure8Split(tr *trace.Trace) *core.CategorySplit {
 	g := s.globalFor(tr)
 	cl := s.classFor(tr)
@@ -64,48 +66,6 @@ func (s *Suite) figure8Split(tr *trace.Trace) *core.CategorySplit {
 		},
 		cl.PerAddressBestCorrect,
 		0.99)
-}
-
-// newFigure7Result returns an empty Figure 7 shell with rows sized for
-// the suite, ready for per-cell filling.
-func (s *Suite) newFigure7Result() *SplitResult {
-	return &SplitResult{
-		Title:  "Figure 7. Branches best predicted by gshare, PAs, and ideal static (dynamic-weighted)",
-		Labels: [3]string{"Ideal Static Best", "Gshare Best", "PAs Best"},
-		Rows:   make([]SplitRow, len(s.traces)),
-	}
-}
-
-// newFigure8Result returns an empty Figure 8 shell with rows sized for
-// the suite.
-func (s *Suite) newFigure8Result() *SplitResult {
-	return &SplitResult{
-		Title:  "Figure 8. Branches best predicted by global correlation, per-address classes, and ideal static",
-		Labels: [3]string{"Ideal Static Best", "Global Best", "Per-Address Best"},
-		Rows:   make([]SplitRow, len(s.traces)),
-	}
-}
-
-// Figure7 reproduces Figure 7: the distribution of branches best
-// predicted by gshare, PAs, or the ideal static predictor.
-func (s *Suite) Figure7() *SplitResult {
-	res := s.newFigure7Result()
-	for i, tr := range s.traces {
-		res.Rows[i] = splitCell(tr, s.figure7Split)
-	}
-	return res
-}
-
-// Figure8 reproduces Figure 8: the same distribution with the paper's
-// predictability classes — global is the better of interference-free
-// gshare and the 3-branch selective history, per-address is the best of
-// the section 4.1 class predictors.
-func (s *Suite) Figure8() *SplitResult {
-	res := s.newFigure8Result()
-	for i, tr := range s.traces {
-		res.Rows[i] = splitCell(tr, s.figure8Split)
-	}
-	return res
 }
 
 // Render formats the split as stacked bars plus the bias table.
@@ -135,38 +95,21 @@ type Figure9Result struct {
 	Diff [][]float64
 }
 
-// Figure9 computes the percentile curves for the configured benchmarks.
-func (s *Suite) Figure9() (*Figure9Result, error) {
-	res := &Figure9Result{
-		Percentiles: s.cfg.Fig9Percentiles,
-		Benchmarks:  s.cfg.Fig9Benchmarks,
-		Diff:        make([][]float64, len(s.cfg.Fig9Benchmarks)),
-	}
-	for i, name := range s.cfg.Fig9Benchmarks {
-		curve, err := s.figure9Cell(name)
-		if err != nil {
-			return nil, err
-		}
-		res.Diff[i] = curve
-	}
-	return res, nil
-}
-
-// figure9Cell computes the percentile curve for one configured benchmark.
+// figure9Cell computes the percentile curve for one Figure 9 benchmark.
 func (s *Suite) figure9Cell(name string) ([]float64, error) {
 	tr := s.traceByName(name)
 	if tr == nil {
 		return nil, fmt.Errorf("experiments: figure 9 benchmark %q not in suite", name)
 	}
 	b := s.baseFor(tr)
-	return sim.DiffPercentiles(b.gshare, b.pas, s.cfg.Fig9Percentiles), nil
+	return sim.DiffPercentiles(b.gshare, b.pas, fig9Percentiles), nil
 }
 
-// Fig9Available reports whether every configured Figure 9 benchmark is
-// in the suite (the -workloads flag can exclude them; callers then skip
-// the exhibit rather than fail the report).
+// Fig9Available reports whether every Figure 9 benchmark (gcc and perl)
+// is in the suite (the -workloads flag can exclude them; callers then
+// skip the exhibit rather than fail the report).
 func (s *Suite) Fig9Available() bool {
-	for _, name := range s.cfg.Fig9Benchmarks {
+	for _, name := range fig9Benchmarks {
 		if s.traceByName(name) == nil {
 			return false
 		}

@@ -33,23 +33,14 @@ type HybridsResult struct {
 	Rows []HybridRow
 }
 
-// Hybrids measures both real hybrid organizations against their
-// components and the per-branch ideal combination.
-func (s *Suite) Hybrids() *HybridsResult {
-	res := &HybridsResult{Rows: make([]HybridRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.hybridsCell(tr)
-	}
-	return res
-}
-
-// hybridsCell measures the hybrid organizations on one benchmark.
+// hybridsCell measures both real hybrid organizations on one benchmark
+// against their components and the per-branch ideal combination.
 func (s *Suite) hybridsCell(tr *trace.Trace) HybridRow {
 	s.log("%s: hybrid organizations", tr.Name())
 	b := s.baseFor(tr)
 	rs := s.simRun(tr,
-		bp.NewHybrid(s.newGshare(), s.newPAs(), 12),
-		bp.NewTournament(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.GshareBits, 12),
+		bp.NewHybrid(newGshare(), newPAs(), 12),
+		bp.NewTournament(pasHistBits, pasBHTBits, gshareBits, 12),
 	)
 	ideal := sim.CombineMax("ideal", b.gshare, b.pas)
 	return HybridRow{

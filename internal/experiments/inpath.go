@@ -29,17 +29,8 @@ type InPathResult struct {
 	Rows []InPathRow
 }
 
-// InPath runs the decomposition using each branch's oracle-selected
-// 3-ref set under both selective modes.
-func (s *Suite) InPath() *InPathResult {
-	res := &InPathResult{Rows: make([]InPathRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.inPathCell(tr)
-	}
-	return res
-}
-
-// inPathCell decomposes one benchmark's selective-history accuracy.
+// inPathCell decomposes one benchmark's selective-history accuracy,
+// running its oracle-selected 3-ref sets under both selective modes.
 func (s *Suite) inPathCell(tr *trace.Trace) InPathRow {
 	g := s.globalFor(tr)
 	base := s.baseFor(tr)
@@ -47,7 +38,7 @@ func (s *Suite) inPathCell(tr *trace.Trace) InPathRow {
 	// The direction-mode result and the oracle's ref choices are
 	// cached in the global bundle; the presence-mode run reuses the
 	// same assignment.
-	pres := core.NewSelectiveMode("presence-sel3", s.cfg.Oracle.WindowLen,
+	pres := core.NewSelectiveMode("presence-sel3", oracleWindow,
 		g.sels.BySize[3], core.ModePresence)
 	pr := s.simRun(tr, pres)[0]
 	return InPathRow{

@@ -35,13 +35,13 @@ type ReportConfig struct {
 	WindowLen  int      `json:"windowLen"`
 }
 
-// NewReport captures the suite's configuration into an empty report.
-func (s *Suite) NewReport() *Report {
+// newReport captures the suite's configuration into an empty report.
+func (s *Suite) newReport() *Report {
 	return &Report{Config: ReportConfig{
 		Length:     s.cfg.Length,
 		Workloads:  s.cfg.Workloads,
-		GshareBits: s.cfg.GshareBits,
-		WindowLen:  s.cfg.Oracle.WindowLen,
+		GshareBits: gshareBits,
+		WindowLen:  oracleWindow,
 	}}
 }
 

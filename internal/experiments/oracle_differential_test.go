@@ -58,7 +58,7 @@ func TestReportByteIdentityKernelVsReference(t *testing.T) {
 // consumer reads the one view the trace memoizes.
 func TestPackedMemoizedPerTrace(t *testing.T) {
 	s := testSuite(t)
-	tr := s.Traces()[0]
+	tr := s.traces[0]
 	p1 := tr.Packed()
 	if _, err := s.BuildReport(context.Background(), []string{"table2", "fig5"}, runner.Options{Parallel: 2}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,40 +61,58 @@ func TestBuildReportByteIdentity(t *testing.T) {
 	}
 }
 
-// TestBuildReportMatchesSequentialMethods pins the parallel cells to the
-// sequential exhibit methods: the same suite must produce identical rows
-// either way (the memoized bundles are shared, so equality is exact).
-func TestBuildReportMatchesSequentialMethods(t *testing.T) {
-	s := testSuite(t)
-	report, err := s.BuildReport(context.Background(), []string{"table1", "fig4", "table2", "fig6", "hybrids"}, runner.Options{Parallel: 4})
+// aloneConfig is a small suite holding both Figure 9 benchmarks, with
+// the extra exhibit on (one kernel spec, one that needs profiling
+// context), so every exhibit in the table has cells.
+func aloneConfig() Config {
+	return Config{
+		Length:      20_000,
+		Workloads:   []string{"gcc", "perl", "compress"},
+		Fig5Windows: []int{8, 16},
+		ExtraSpecs:  []string{"bimodal:12", "ideal-static"},
+	}
+}
+
+// TestBuildReportExhibitAloneMatchesFull pins every row of the exhibit
+// table: each exhibit built alone, on a fresh suite that memoizes
+// nothing yet, must equal its slot in the full report, and the report
+// must hold no other exhibit.
+func TestBuildReportExhibitAloneMatchesFull(t *testing.T) {
+	full, err := NewSuite(aloneConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := report.Table1.Rows, s.Table1().Rows; len(got) != len(want) {
-		t.Fatalf("table1 rows: %d vs %d", len(got), len(want))
+	fullReport, err := full.BuildReport(context.Background(), nil, runner.Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, row := range report.Table1.Rows {
-		if row != s.Table1().Rows[i] {
-			t.Errorf("table1 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Figure4.Rows {
-		if row != s.Figure4().Rows[i] {
-			t.Errorf("fig4 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Table2.Rows {
-		if row != s.Table2().Rows[i] {
-			t.Errorf("table2 row %d differs: %+v", i, row)
-		}
-	}
-	for i, row := range report.Hybrids.Rows {
-		if row != s.Hybrids().Rows[i] {
-			t.Errorf("hybrids row %d differs: %+v", i, row)
-		}
-	}
-	if report.Figure5 != nil || report.Figure9 != nil {
-		t.Error("unrequested exhibits were computed")
+	for _, e := range exhibits {
+		t.Run(e.name, func(t *testing.T) {
+			s, err := NewSuite(aloneConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone, err := s.BuildReport(context.Background(), []string{e.name}, runner.Options{Parallel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ok := e.result(fullReport)
+			if !ok {
+				t.Fatal("missing from the full report")
+			}
+			got, ok := e.result(alone)
+			if !ok {
+				t.Fatal("missing when built alone")
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("built alone:\n%s\nin the full report:\n%s", got.Render(), want.Render())
+			}
+			for _, other := range exhibits {
+				if _, ok := other.result(alone); ok && other.name != e.name {
+					t.Errorf("building %s alone also built %s", e.name, other.name)
+				}
+			}
+		})
 	}
 }
 
@@ -133,20 +152,22 @@ func TestBuildReportCancelledContext(t *testing.T) {
 }
 
 func TestExhibitOrderCoversReport(t *testing.T) {
-	// Every canonical exhibit must render once a full report is built —
-	// catches an exhibit added to the order but not wired into
-	// BuildReport/RenderExhibit.
-	s := testSuite(t)
-	report, err := s.BuildReport(context.Background(), nil, runner.Options{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ExhibitOrder() {
-		if _, ok := report.RenderExhibit(e); !ok {
-			t.Errorf("exhibit %s missing from full report", e)
+	// Every canonical exhibit must be present once a full report is
+	// built, and Render must print each one, in order.
+	report := testReport(t)
+	text := report.Render()
+	at := 0
+	for _, e := range exhibits {
+		res, ok := e.result(report)
+		if !ok {
+			t.Errorf("exhibit %s missing from full report", e.name)
+			continue
 		}
-	}
-	if _, ok := report.RenderExhibit("bogus"); ok {
-		t.Error("bogus exhibit rendered")
+		j := strings.Index(text[at:], res.Render())
+		if j < 0 {
+			t.Errorf("exhibit %s not rendered in order", e.name)
+			continue
+		}
+		at += j + len(res.Render())
 	}
 }

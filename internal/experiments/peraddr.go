@@ -24,16 +24,6 @@ type Figure6Result struct {
 	Rows []Figure6Row
 }
 
-// Figure6 classifies every trace's branches by per-address
-// predictability.
-func (s *Suite) Figure6() *Figure6Result {
-	res := &Figure6Result{Rows: make([]Figure6Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.figure6Cell(tr)
-	}
-	return res
-}
-
 // figure6Cell classifies one benchmark's branches.
 func (s *Suite) figure6Cell(tr *trace.Trace) Figure6Row {
 	cl := s.classFor(tr)
@@ -80,18 +70,10 @@ type Table3Result struct {
 	Rows []Table3Row
 }
 
-// Table3 builds the hypothetical "PAs w/ Loop" combiners: the loop
-// predictor's accuracy is used for every branch the classification put in
-// the loop class, PAs (or IF-PAs) for the rest.
-func (s *Suite) Table3() *Table3Result {
-	res := &Table3Result{Rows: make([]Table3Row, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.table3Cell(tr)
-	}
-	return res
-}
-
-// table3Cell computes one benchmark's Table 3 row.
+// table3Cell computes one benchmark's Table 3 row, with the hypothetical
+// "PAs w/ Loop" combiners: the loop predictor's accuracy is used for
+// every branch the classification put in the loop class, PAs (or IF-PAs)
+// for the rest.
 func (s *Suite) table3Cell(tr *trace.Trace) Table3Row {
 	cl := s.classFor(tr)
 	pas := s.baseFor(tr).pas

@@ -1,13 +1,15 @@
 // Package experiments reproduces every table and figure of Evers, Patel,
-// Chappell & Patt (ISCA 1998): one driver per exhibit, all running over
-// the synthetic SPECint95 stand-in traces. Drivers share a Suite so that
-// expensive intermediates (oracle selections, classifications, baseline
-// predictor runs) are computed once per trace and reused across exhibits,
-// exactly as the paper's own experiments share one simulation
+// Chappell & Patt (ISCA 1998) over the synthetic SPECint95 stand-in
+// traces. One table (exhibits.go) declares each exhibit once; BuildReport
+// runs the requested ones as (exhibit × workload) cells over a Suite, so
+// that expensive intermediates (oracle selections, classifications,
+// baseline predictor runs) are computed once per trace and reused across
+// exhibits, exactly as the paper's own experiments share one simulation
 // infrastructure.
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -20,8 +22,9 @@ import (
 	"branchcorr/internal/workloads"
 )
 
-// Config parameterizes the whole experiment suite. Zero values select the
-// paper-matching defaults documented in DESIGN.md §5.
+// Config parameterizes the experiment suite. Zero values select the
+// defaults documented in DESIGN.md §5; the paper's predictor and oracle
+// parameters are package constants.
 type Config struct {
 	// Length is the number of dynamic conditional branches per workload
 	// trace (default 1,000,000).
@@ -29,25 +32,9 @@ type Config struct {
 	// Workloads restricts the suite to a subset of benchmark names;
 	// empty means all eight.
 	Workloads []string
-	// GshareBits is the gshare/IF-gshare global history length
-	// (default 16, the paper's "16 branch history").
-	GshareBits uint
-	// PAs geometry (defaults 12-bit local history, 2^10-entry BHT, 2^6
-	// PHTs).
-	PAsHistBits, PAsBHTBits, PAsPHTBits uint
-	// IFPAsBits is the interference-free PAs local history length
-	// (default 16).
-	IFPAsBits uint
-	// Oracle configures the selective-history oracle (default window 16,
-	// beam 16).
-	Oracle core.OracleConfig
 	// Fig5Windows are the history lengths swept by Figure 5 (default
 	// 8..32 step 4).
 	Fig5Windows []int
-	// SweepGshareBits are the gshare history lengths swept by the fused
-	// "sweeps" exhibit in one trace pass per workload (default 8..22
-	// step 2).
-	SweepGshareBits []uint
 	// SweepShards is the config-shard worker budget every sweep-driven
 	// exhibit passes to sim (Options.Parallel): above 1, each grid
 	// splits into up to that many contiguous sub-grids running on
@@ -55,12 +42,6 @@ type Config struct {
 	// keeps sweeps sequential — and the shard-scheduling counters out of
 	// the default metrics snapshot; negative selects GOMAXPROCS.
 	SweepShards int
-	// Fig9Benchmarks are the benchmarks plotted in Figure 9 (default gcc
-	// and perl, as in the paper).
-	Fig9Benchmarks []string
-	// Fig9Percentiles are the x-axis points of Figure 9 (default 0..100
-	// step 5).
-	Fig9Percentiles []float64
 	// CorpusDir, when non-empty, names a content-addressed trace store
 	// directory (internal/corpus): workload traces are loaded from it
 	// when present and generated-then-stored otherwise, so repeat runs
@@ -82,6 +63,36 @@ type Config struct {
 	Obs *obs.Registry
 }
 
+// The paper's parameters (DESIGN.md §5).
+const (
+	// gshareBits is the gshare/IF-gshare global history length (the
+	// paper's "16 branch history").
+	gshareBits = 16
+	// PAs geometry: 12-bit local history, 2^10-entry BHT, 2^6 PHTs.
+	pasHistBits, pasBHTBits, pasPHTBits = 12, 10, 6
+	// ifPAsBits is the interference-free PAs local history length.
+	ifPAsBits = 16
+	// oracleWindow is the selective-history oracle's window (its beam
+	// keeps core's default of 16).
+	oracleWindow = 16
+)
+
+var (
+	// sweepGshareBits are the gshare history lengths the fused "sweeps"
+	// exhibit runs in one trace pass per workload.
+	sweepGshareBits = []uint{8, 10, 12, 14, 16, 18, 20, 22}
+	// fig9Benchmarks are the benchmarks Figure 9 plots, as in the paper.
+	fig9Benchmarks = []string{"gcc", "perl"}
+	// fig9Percentiles are Figure 9's x-axis points: 0..100 step 5.
+	fig9Percentiles = func() []float64 {
+		var ps []float64
+		for p := 0.0; p <= 100; p += 5 {
+			ps = append(ps, p)
+		}
+		return ps
+	}()
+)
+
 func (c Config) withDefaults() Config {
 	if c.Length == 0 {
 		c.Length = 1_000_000
@@ -89,40 +100,8 @@ func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		c.Workloads = workloads.Names()
 	}
-	if c.GshareBits == 0 {
-		c.GshareBits = 16
-	}
-	if c.PAsHistBits == 0 {
-		c.PAsHistBits = 12
-	}
-	if c.PAsBHTBits == 0 {
-		c.PAsBHTBits = 10
-	}
-	if c.PAsPHTBits == 0 {
-		c.PAsPHTBits = 6
-	}
-	if c.IFPAsBits == 0 {
-		c.IFPAsBits = 16
-	}
-	if c.Oracle.WindowLen == 0 {
-		c.Oracle.WindowLen = 16
-	}
 	if len(c.Fig5Windows) == 0 {
 		c.Fig5Windows = []int{8, 12, 16, 20, 24, 28, 32}
-	}
-	if len(c.SweepGshareBits) == 0 {
-		c.SweepGshareBits = []uint{8, 10, 12, 14, 16, 18, 20, 22}
-	}
-	if len(c.Fig9Benchmarks) == 0 {
-		c.Fig9Benchmarks = []string{"gcc", "perl"}
-	}
-	if len(c.Fig9Percentiles) == 0 {
-		for p := 0.0; p <= 100; p += 5 {
-			c.Fig9Percentiles = append(c.Fig9Percentiles, p)
-		}
-	}
-	if c.Oracle.Obs == nil {
-		c.Oracle.Obs = c.Obs
 	}
 	return c
 }
@@ -177,8 +156,8 @@ func (m *memo[T]) get(key string, compute func() T) T {
 
 // Suite generates the workload traces once and computes shared
 // intermediates lazily. Shared intermediates are memoized behind
-// sync.Once keys, so exhibit methods (and the per-workload report cells
-// BuildReport schedules) are safe to call concurrently.
+// sync.Once keys, so the per-workload report cells BuildReport schedules
+// run concurrently.
 type Suite struct {
 	cfg     Config
 	obs     *obs.Registry
@@ -215,13 +194,22 @@ type Suite struct {
 	simSweep func(tr *trace.Trace, grid bp.SweepGrid) *sim.SweepOutcome
 }
 
-// NewSuite generates traces for the configured workloads and returns a
-// ready suite. logf, if non-nil, receives progress lines (trace
-// generation and oracle passes are the slow steps); the suite serializes
-// calls to it, so the callback itself need not be safe for concurrent
-// use.
+// NewSuite checks the configured extra specs, then generates traces for
+// the configured workloads and returns a ready suite. A spec that cannot
+// parse fails here, before any trace exists; specs that only lack
+// profiling context (ideal-static, profiled-gshare) get it per trace.
+// logf, if non-nil, receives progress lines (trace generation and oracle
+// passes are the slow steps); the suite serializes calls to it, so the
+// callback itself need not be safe for concurrent use.
 func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error) {
 	cfg = cfg.withDefaults()
+	for _, spec := range cfg.ExtraSpecs {
+		var pe *bp.ParseError
+		if _, err := bp.Parse(spec, bp.Env{}); err != nil &&
+			!(errors.As(err, &pe) && pe.Kind == bp.ErrMissingContext) {
+			return nil, err
+		}
+	}
 	if logf == nil {
 		logf = func(string, ...any) {}
 	} else {
@@ -277,14 +265,8 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 	return s, nil
 }
 
-// Config returns the (defaulted) configuration the suite runs with.
-func (s *Suite) Config() Config { return s.cfg }
-
-// Traces returns the generated traces in workload order.
-func (s *Suite) Traces() []*trace.Trace { return s.traces }
-
-// Names returns the benchmark names in suite order.
-func (s *Suite) Names() []string {
+// names returns the benchmark names in suite order.
+func (s *Suite) names() []string {
 	out := make([]string, len(s.traces))
 	for i, tr := range s.traces {
 		out[i] = tr.Name()
@@ -292,12 +274,13 @@ func (s *Suite) Names() []string {
 	return out
 }
 
-func (s *Suite) newGshare() bp.Predictor { return bp.NewGshare(s.cfg.GshareBits) }
-func (s *Suite) newIFGshare() bp.Predictor {
-	return bp.NewIFGshare(s.cfg.GshareBits)
-}
-func (s *Suite) newPAs() bp.Predictor {
-	return bp.NewPAs(s.cfg.PAsHistBits, s.cfg.PAsBHTBits, s.cfg.PAsPHTBits)
+func newGshare() bp.Predictor   { return bp.NewGshare(gshareBits) }
+func newIFGshare() bp.Predictor { return bp.NewIFGshare(gshareBits) }
+func newPAs() bp.Predictor      { return bp.NewPAs(pasHistBits, pasBHTBits, pasPHTBits) }
+
+// oracleConfig is the oracle configuration at window n.
+func (s *Suite) oracleConfig(n int) core.OracleConfig {
+	return core.OracleConfig{WindowLen: n, Obs: s.cfg.Obs}
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for
@@ -308,8 +291,8 @@ func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
 	s.obs.Counter("suite.memo.sels.calls").Inc()
 	return s.sels.get(tr.Name(), func() *core.Selections {
 		s.obs.Counter("suite.memo.sels.misses").Inc()
-		s.log("%s: oracle selection (window %d)", tr.Name(), s.cfg.Oracle.WindowLen)
-		return s.oracleBuild(tr, s.cfg.Oracle)
+		s.log("%s: oracle selection (window %d)", tr.Name(), oracleWindow)
+		return s.oracleBuild(tr, s.oracleConfig(oracleWindow))
 	})
 }
 
@@ -322,14 +305,14 @@ func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 		s.obs.Counter("suite.memo.global.misses").Inc()
 		sels := s.selsFor(tr)
 		selective := []bp.Predictor{
-			core.NewSelective(fmt.Sprintf("IF 1-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[1]),
-			core.NewSelective(fmt.Sprintf("IF 2-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[2]),
-			core.NewSelective(fmt.Sprintf("IF 3-branch selective(%d)", s.cfg.Oracle.WindowLen), s.cfg.Oracle.WindowLen, sels.BySize[3]),
+			core.NewSelective(fmt.Sprintf("IF 1-branch selective(%d)", oracleWindow), oracleWindow, sels.BySize[1]),
+			core.NewSelective(fmt.Sprintf("IF 2-branch selective(%d)", oracleWindow), oracleWindow, sels.BySize[2]),
+			core.NewSelective(fmt.Sprintf("IF 3-branch selective(%d)", oracleWindow), oracleWindow, sels.BySize[3]),
 		}
 		s.log("%s: simulating selective + gshare predictors", tr.Name())
 		// One batch: every predictor here has a batched kernel, so all
 		// five take sim's columnar fast path.
-		rs := s.simRun(tr, append(selective, s.newIFGshare(), s.newGshare())...)
+		rs := s.simRun(tr, append(selective, newIFGshare(), newGshare())...)
 		b := &globalBundle{ifg: rs[3], g: rs[4], sels: sels}
 		b.sel[1], b.sel[2], b.sel[3] = rs[0], rs[1], rs[2]
 		return b
@@ -342,7 +325,7 @@ func (s *Suite) classFor(tr *trace.Trace) *core.PAClassification {
 	return s.classes.get(tr.Name(), func() *core.PAClassification {
 		s.obs.Counter("suite.memo.classes.misses").Inc()
 		s.log("%s: per-address classification", tr.Name())
-		return core.ClassifyPerAddress(tr, core.ClassifyConfig{IFPAsHistoryBits: s.cfg.IFPAsBits})
+		return core.ClassifyPerAddress(tr, core.ClassifyConfig{IFPAsHistoryBits: ifPAsBits})
 	})
 }
 
@@ -353,7 +336,7 @@ func (s *Suite) baseFor(tr *trace.Trace) *baseBundle {
 		s.obs.Counter("suite.memo.base.misses").Inc()
 		s.log("%s: baseline predictors (static, gshare, PAs)", tr.Name())
 		stats := trace.Summarize(tr)
-		rs := s.simRun(tr, bp.NewIdealStatic(stats), s.newGshare(), s.newPAs())
+		rs := s.simRun(tr, bp.NewIdealStatic(stats), newGshare(), newPAs())
 		return &baseBundle{static: rs[0], gshare: rs[1], pas: rs[2]}
 	})
 }

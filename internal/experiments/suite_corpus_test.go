@@ -40,8 +40,8 @@ func TestSuiteCorpusReuse(t *testing.T) {
 		t.Fatalf("second run: hits=%d misses=%d, want 2/0", h, m)
 	}
 
-	for i, tr := range s1.Traces() {
-		got := s2.Traces()[i]
+	for i, tr := range s1.traces {
+		got := s2.traces[i]
 		if got.Name() != tr.Name() || got.Len() != tr.Len() {
 			t.Fatalf("trace %d: %q/%d vs %q/%d", i, got.Name(), got.Len(), tr.Name(), tr.Len())
 		}
@@ -61,11 +61,10 @@ func TestSuiteCorpusReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, ok := rep.RenderExhibit("table2")
-		if !ok {
+		if rep.Table2 == nil {
 			t.Fatal("table2 missing from report")
 		}
-		return out
+		return rep.Render()
 	}
 	if a, b := render(s1), render(s2); a != b {
 		t.Errorf("corpus-loaded report differs from generated report:\n--- generated ---\n%s\n--- loaded ---\n%s", a, b)

@@ -34,15 +34,6 @@ type TrainingResult struct {
 	Rows   []TrainingRow
 }
 
-// Training measures cold-start vs steady-state accuracy per benchmark.
-func (s *Suite) Training() *TrainingResult {
-	res := &TrainingResult{Bucket: s.trainingBucket(), Rows: make([]TrainingRow, len(s.traces))}
-	for i, tr := range s.traces {
-		res.Rows[i] = s.trainingCell(tr)
-	}
-	return res
-}
-
 // trainingBucket is the timeline bucket size the training exhibit uses.
 func (s *Suite) trainingBucket() int {
 	bucket := s.cfg.Length / 20
@@ -56,7 +47,7 @@ func (s *Suite) trainingBucket() int {
 func (s *Suite) trainingCell(tr *trace.Trace) TrainingRow {
 	s.log("%s: training timelines", tr.Name())
 	tls := s.simTimeline(tr, s.trainingBucket(),
-		s.newGshare(), s.newIFGshare(), bp.NewBimodal(14))
+		newGshare(), newIFGshare(), bp.NewBimodal(14))
 	row := TrainingRow{Benchmark: tr.Name()}
 	row.ColdGshare, row.WarmGshare = coldWarm(tls[0])
 	row.ColdIFGshare, row.WarmIFGshare = coldWarm(tls[1])
@@ -91,30 +82,4 @@ func (r *TrainingResult) Render() string {
 		fmt.Sprintf("Extension. Training time: first %d branches vs steady state", r.Bucket),
 		[]string{"Benchmark", "gshare cold", "warm", "Δ", "IF cold", "IF warm", "bimodal cold", "warm"},
 		rows)
-}
-
-// TimelineFor renders a full accuracy timeline for one of the suite's
-// benchmarks as an ASCII chart.
-func (s *Suite) TimelineFor(name string, bucket int) (string, error) {
-	tr := s.traceByName(name)
-	if tr == nil {
-		return "", fmt.Errorf("experiments: benchmark %q not in suite", name)
-	}
-	tls := s.simTimeline(tr, bucket, s.newGshare(), bp.NewBimodal(14))
-	xs := make([]float64, len(tls[0].Accuracy))
-	ys := make([][]float64, len(tls))
-	names := make([]string, len(tls))
-	for i := range xs {
-		xs[i] = float64((i + 1) * bucket)
-	}
-	for pi, tl := range tls {
-		names[pi] = tl.Predictor
-		ys[pi] = make([]float64, len(tl.Accuracy))
-		for i, a := range tl.Accuracy {
-			ys[pi][i] = 100 * a
-		}
-	}
-	return textplot.Lines(
-		fmt.Sprintf("Accuracy over time — %s (bucket %d branches)", name, bucket),
-		xs, names, ys, "accuracy %"), nil
 }
