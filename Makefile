@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race shuffle cover lint lint-fix lint-sarif baseline bench bench-oracle bench-sim bench-sweep bench-service fuzz
+.PHONY: check build vet test race shuffle cover lint lint-fix lint-sarif baseline bench bench-oracle bench-sim bench-sweep bench-service fuzz digest-1m
 
 # check is the full gate CI runs: compile, vet, race-enabled tests, and
 # the repo's own static-analysis suite (cmd/bplint).
@@ -43,6 +43,20 @@ lint-sarif:
 # baselined findings down.
 baseline:
 	$(GO) run ./cmd/bplint -baseline lint/baseline.json -update-baseline ./...
+
+# digest-1m is the 1M report digest gate: the full -json report at
+# -n 1000000 must hash to the committed experiments_1m.json.sha256 at
+# -parallel 1, at -parallel 2 and with -sweep-shards 2 (about 30 s wall
+# per run on 2 cores). experiments_1m.txt is the matching text report.
+digest-1m:
+	@want=$$(cat experiments_1m.json.sha256); \
+	for flags in "-parallel 1" "-parallel 2" "-sweep-shards 2"; do \
+		got=$$($(GO) run ./cmd/experiments -n 1000000 -q -json $$flags | sha256sum | cut -d' ' -f1); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "digest-1m: $$flags: sha256 $$got, want $$want"; exit 1; \
+		fi; \
+		echo "digest-1m: $$flags: ok"; \
+	done
 
 # fuzz runs every native fuzz target for FUZZTIME each (CI's fuzz-smoke
 # job uses 30s). Plain `go test` already replays the committed seed

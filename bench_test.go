@@ -692,6 +692,33 @@ func BenchmarkOracleJoint(b *testing.B) {
 	}
 }
 
+// BenchmarkOracleWindowGrid measures Figure 5's oracle work on one
+// workload trace: the seven Figure 5 windows as one core.OracleGrid
+// build (one profile pass and one collection stream) against seven
+// single-window core.Oracle builds. Both produce the same selections.
+func BenchmarkOracleWindowGrid(b *testing.B) {
+	windows := []int{8, 12, 16, 20, 24, 28, 32}
+	opts := core.OracleOptions{OracleConfig: core.OracleConfig{Obs: obs.New()}}
+	tr := benchTraceN(b, "gcc", benchLength)
+	tr.Packed()
+	b.Run("impl=singles", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, n := range windows {
+				o := opts
+				o.WindowLen = n
+				core.Oracle(tr, o)
+			}
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+	b.Run("impl=grid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			core.OracleGrid(tr, windows, opts)
+		}
+		b.ReportMetric(float64(tr.Len()*b.N)/b.Elapsed().Seconds(), "branches/s")
+	})
+}
+
 // BenchmarkSimPredictor measures single-predictor simulation throughput:
 // the per-record reference loop against the columnar kernel engine over
 // the memoized packed view. Each iteration simulates the full trace on a

@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -163,9 +164,14 @@ func run(o options) (err error) {
 	}
 
 	// fig9 plots gcc and perl, which -workloads can leave out.
+	const fig9Needs = "fig9 needs gcc and perl in -workloads"
 	if want["fig9"] && !suite.Fig9Available() {
-		fmt.Fprintln(os.Stderr, "experiments: skipping fig9 (needs gcc and perl in -workloads)")
 		delete(want, "fig9")
+		if len(want) == 0 {
+			// An empty request would read as "every exhibit".
+			return errors.New(fig9Needs + " and no other exhibit was requested")
+		}
+		fmt.Fprintf(os.Stderr, "experiments: skipping fig9 (%s)\n", fig9Needs)
 	}
 	var names []string
 	for _, e := range experiments.ExhibitOrder() {

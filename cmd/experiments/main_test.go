@@ -69,6 +69,16 @@ func TestFig9WorkloadSubsetSkip(t *testing.T) {
 	}
 }
 
+// TestRunFig9OnlyWithoutBenchmarks pins that a fig9-only request whose
+// -workloads lack gcc or perl fails with the requirement instead of
+// building every exhibit (an empty exhibit list reads as "all").
+func TestRunFig9OnlyWithoutBenchmarks(t *testing.T) {
+	err := run(options{n: 2_000, wls: "gcc", exhibits: "fig9", quiet: true})
+	if err == nil || !strings.Contains(err.Error(), "fig9 needs gcc and perl") {
+		t.Errorf("err = %v, want fig9's gcc/perl requirement", err)
+	}
+}
+
 // TestRunUnknownExhibit pins the one-prefix diagnostic: main prints
 // "experiments: " before the error, so the error must not repeat it.
 func TestRunUnknownExhibit(t *testing.T) {

@@ -95,31 +95,36 @@ func (ix *instIndex) push(h *instHist, t, bk uint64) {
 	h.seg[ix.tb&MaxTag] = segInst{key: ix.tb + 1, inst: v}
 }
 
-// state resolves r among the last n records pushed.
-func (ix *instIndex) state(r histRef, n uint64) State {
+// inst returns the instance r names, packed pos<<1 | taken, or false
+// when r names none at any window length. The instance lies inside an
+// n-record window iff seq − pos ≤ n.
+func (ix *instIndex) inst(r histRef) (uint64, bool) {
 	h := r.h
 	if h == nil {
-		return StateAbsent
+		return 0, false
 	}
-	var v uint64
 	if r.back {
 		b := uint64(r.tag)
 		if b > ix.tb {
-			return StateAbsent
+			return 0, false
 		}
 		s := h.seg[(ix.tb-b)&MaxTag]
 		if s.key != ix.tb-b+1 {
-			return StateAbsent
+			return 0, false
 		}
-		v = s.inst
-	} else {
-		o := uint64(r.tag)
-		if o >= h.count {
-			return StateAbsent
-		}
-		v = h.occ[(h.count-1-o)&MaxTag]
+		return s.inst, true
 	}
-	if ix.seq-(v>>1) > n {
+	o := uint64(r.tag)
+	if o >= h.count {
+		return 0, false
+	}
+	return h.occ[(h.count-1-o)&MaxTag], true
+}
+
+// state resolves r among the last n records pushed.
+func (ix *instIndex) state(r histRef, n uint64) State {
+	v, ok := ix.inst(r)
+	if !ok || ix.seq-(v>>1) > n {
 		return StateAbsent
 	}
 	return State(v&1 ^ 1) // taken 1 -> StateTaken 0

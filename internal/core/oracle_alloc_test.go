@@ -8,7 +8,11 @@
 // justified //bplint:ignore directives in oracle_kernel.go.
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"branchcorr/internal/trace"
+)
 
 // TestOracleEmitterAllocs pins oracleEmitter.emit at zero allocations:
 // the key buffer is preallocated to the 2-refs-per-entry worst case, so
@@ -16,14 +20,14 @@ import "testing"
 func TestOracleEmitterAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
 	pt := tr.Packed()
-	for _, windowLen := range []int{4, 16, 32} {
-		em := newPackedEmitter(pt, windowLen)
+	for _, windows := range [][]int{{4}, {16}, {32}, {8, 12, 16, 20, 24, 28, 32}} {
+		em := newPackedEmitter(pt, windows)
 		for i := 0; i < tr.Len(); i++ {
 			em.emit(i)
 		}
 		allocs := testing.AllocsPerRun(200, func() { em.emit(tr.Len() / 2) })
 		if allocs != 0 {
-			t.Errorf("window %d: emit allocates %.1f per call, want 0", windowLen, allocs)
+			t.Errorf("windows %v: emit allocates %.1f per call, want 0", windows, allocs)
 		}
 	}
 }
@@ -31,15 +35,25 @@ func TestOracleEmitterAllocs(t *testing.T) {
 // TestCollectStreamAllocs pins the pass-2/3 collection loop's steady
 // state: with every instance matrix sized to its branch's dynamic count
 // (as buildBeams sizes it), replaying the stream over reset matrices
-// allocates nothing per record.
+// allocates nothing per record, for one window and for a grid.
 func TestCollectStreamAllocs(t *testing.T) {
 	tr := randomTrace(7, 30_000, 48)
+	for _, windows := range [][]int{{8}, {8, 16, 32}} {
+		collectAllocs(t, tr, windows)
+	}
+}
+
+func collectAllocs(t *testing.T, tr *trace.Trace, windows []int) {
 	pt := tr.Packed()
-	cfg := OracleConfig{WindowLen: 8}.withDefaults()
-	cands := Oracle(tr, OracleOptions{OracleConfig: cfg, Stage: StageProfile}).Candidates
-	beams, hists, beamOf := buildBeams(pt, sortedPCs(cands), cands)
+	var cands []map[trace.Addr]*Candidates
+	for _, sel := range OracleGrid(tr, windows, OracleOptions{Stage: StageProfile}) {
+		cands = append(cands, sel.Candidates)
+	}
+	codes := newSlotCodes(windows)
+	beams, hists, beamOf := buildBeams(pt, sortedPCs(cands), cands, &codes)
 	reset := func() {
 		for _, bm := range beamOf {
+			clear(bm.m.planes)
 			clear(bm.m.outs)
 			bm.m.n = 0
 		}
@@ -49,12 +63,12 @@ func TestCollectStreamAllocs(t *testing.T) {
 			}
 		}
 	}
-	collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
+	collectBeams(pt, beams, hists, &codes)
 	allocs := testing.AllocsPerRun(3, func() {
 		reset()
-		collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
+		collectBeams(pt, beams, hists, &codes)
 	})
 	if allocs != 0 {
-		t.Errorf("collectBeams allocates %.1f per full replay, want 0", allocs)
+		t.Errorf("windows %v: collectBeams allocates %.1f per full replay, want 0", windows, allocs)
 	}
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // This file is the oracle's public API, mirroring sim.Simulate: one
-// options-based call, Oracle, over an in-memory trace. Streaming is
-// offered for simulation only (sim.SimulateBlocks); the oracle always
-// runs over the packed columns.
+// options-based call over an in-memory trace, for one window (Oracle)
+// or an ascending list of windows sharing each trace pass (OracleGrid).
+// Streaming is offered for simulation only (sim.SimulateBlocks); the
+// oracle always runs over the packed columns.
 
 // OracleStage selects how much of the oracle pipeline runs.
 type OracleStage int
@@ -61,20 +62,51 @@ type OracleOptions struct {
 // Oracle runs the correlation oracle over the trace's packed columns in
 // the stage-selected configuration and returns the Selections. StageFull
 // and StageSelect fill Selections.BySize; StageProfile fills
-// Selections.Candidates. The work runs on the columnar kernels; results
-// are bit-identical at every ScoreParallel.
+// Selections.Candidates. It is OracleGrid over the one window
+// opts.WindowLen; results are bit-identical at every ScoreParallel.
 func Oracle(t *trace.Trace, opts OracleOptions) *Selections {
+	return OracleGrid(t, []int{opts.withDefaults().WindowLen}, opts)[0]
+}
+
+// OracleGrid runs the oracle once for every window length in windows —
+// strictly ascending and positive; opts.WindowLen is ignored — and
+// returns one Selections per window, entry w identical to an Oracle
+// call at window windows[w]. Each stage streams the trace once for the
+// whole list: the profile pass at the widest window, counting each
+// candidate per window-distance bucket, and the select pass over the
+// union of the windows' beams. StageSelect scores opts.Candidates at
+// every window. A StageFull grid counts as one core.oracle.builds.
+func OracleGrid(t *trace.Trace, windows []int, opts OracleOptions) []*Selections {
+	checkWindows(windows)
+	cfg := opts.withDefaults()
+	reg := obs.Or(cfg.Obs)
 	pt := t.Packed()
+	profile := func() []map[trace.Addr]*Candidates {
+		defer reg.StartSpan("core.oracle.profile").End()
+		return profileGrid(pt, windows, cfg)
+	}
+	selectAt := func(cands []map[trace.Addr]*Candidates) []*Selections {
+		defer reg.StartSpan("core.oracle.select").End()
+		return selectGrid(pt, windows, cands, cfg)
+	}
 	switch opts.Stage {
 	case StageProfile:
-		return &Selections{Candidates: profilePacked(pt, opts.OracleConfig)}
+		cands := profile()
+		out := make([]*Selections, len(windows))
+		for w := range out {
+			out[w] = &Selections{Candidates: cands[w]}
+		}
+		return out
 	case StageSelect:
-		return selectPacked(pt, opts.Candidates, opts.OracleConfig)
+		cands := make([]map[trace.Addr]*Candidates, len(windows))
+		for w := range cands {
+			cands[w] = opts.Candidates
+		}
+		return selectAt(cands)
 	case StageFull:
-		reg := obs.Or(opts.Obs)
 		reg.Counter("core.oracle.builds").Inc()
 		defer reg.StartSpan("core.oracle.build").End()
-		return selectPacked(pt, profilePacked(pt, opts.OracleConfig), opts.OracleConfig)
+		return selectAt(profile())
 	}
 	panic(fmt.Sprintf("core: unknown oracle stage %d", int(opts.Stage)))
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"branchcorr/internal/obs"
@@ -14,26 +15,29 @@ import (
 // This file is the oracle's columnar hot path. It computes exactly what
 // oracle_reference.go computes — differential tests enforce bit-identical
 // Candidates and Selections — but over the packed (SoA, dense-ID) trace
-// view, with three structural changes:
+// view, and for a whole ascending list of window lengths at once:
 //
 //   - pass 1's window tag resolution is a flat backward scan over the
 //     dense-ID column with epoch-stamped occurrence/segment scratch
 //     arrays, not a closure-based walk with linear per-PC searches
 //     (oracleEmitter) — pass 1 must enumerate every candidate, so it
-//     still walks the window;
+//     still walks the window, once, at the widest length;
 //   - pass 1's per-(record × window-entry) map[Ref]*candStats lookups
 //     become open-addressed flat candidate tables keyed by packed ref
-//     keys (candTable);
+//     keys (candTable), counting each candidate's joint distribution
+//     per window-distance bucket; a prefix sum over the buckets gives
+//     every window's counts;
 //   - the reference's pass 2 (all pairs) and pass 3 (triple extensions)
-//     trace streams fold into ONE stream that records each dynamic
-//     instance's 2-bit-per-candidate state vector into a per-branch
-//     instance matrix, each beam slot resolved in O(1) through the
-//     instance index (instindex.go); pairs and triples are then scored
-//     off-trace with bit-sliced popcount kernels, embarrassingly
-//     parallel per branch through the internal/runner worker pool.
+//     trace streams fold into ONE stream that records, for the union of
+//     every window's beam, each dynamic instance's state and distance
+//     bucket into a per-branch instance matrix, each union slot
+//     resolved in O(1) through the instance index (instindex.go);
+//     every window's pairs and triples are then scored off-trace with
+//     bit-sliced popcount kernels, embarrassingly parallel per branch
+//     through the internal/runner worker pool.
 //
-// Net: 3 trace passes -> 2, no per-candidate allocations, no closures in
-// the per-record loop.
+// Net: 3 trace passes per window -> 2 per window list, no per-candidate
+// allocations, no closures in the per-record loop.
 
 // A refKey packs a Ref against the trace's dense branch IDs:
 // bits [6..) dense ID, bit 5 scheme, bits [0..5) tag. For one PC the key
@@ -77,6 +81,22 @@ func keyRefLess(a, b uint64, addrs []trace.Addr) bool {
 	return a&(refKeySchemeBit|refKeyTagMask) < b&(refKeySchemeBit|refKeyTagMask)
 }
 
+// checkWindows panics unless windows is a non-empty, strictly ascending
+// list of positive window lengths.
+func checkWindows(windows []int) {
+	if len(windows) == 0 {
+		panic("core: oracle window list is empty")
+	}
+	for i, n := range windows {
+		if n <= 0 {
+			panic(fmt.Sprintf("core: window length %d must be positive", n))
+		}
+		if i > 0 && n <= windows[i-1] {
+			panic(fmt.Sprintf("core: window lengths %v must be strictly ascending", windows))
+		}
+	}
+}
+
 // emitScratch is one dense branch ID's per-window bookkeeping, packed
 // into a single cache-line-friendly struct so each window entry touches
 // one array element instead of three.
@@ -89,12 +109,15 @@ type emitScratch struct {
 // oracleEmitter reproduces Window.Visit's emission sequence — the
 // nameable tagged instances of the n records preceding a trace position,
 // most recent first, occurrence ref before backward ref per entry — as a
-// flat buffer of packed ref keys (direction in bit 63). Occurrence
-// counts and backward-segment dedup use epoch-stamped scratch indexed by
-// dense branch ID, so each window entry costs O(1) instead of a linear
-// scan over the PCs seen so far.
+// flat buffer of packed ref keys (direction in bit 63), for the widest
+// of an ascending window list. Emission runs in order of increasing
+// distance and both tags depend only on more recent records, so each
+// narrower window's emission is a prefix of the buffer; ends records
+// where each prefix stops. Occurrence counts and backward-segment dedup
+// use epoch-stamped scratch indexed by dense branch ID, so each window
+// entry costs O(1) instead of a linear scan over the PCs seen so far.
 type oracleEmitter struct {
-	n int // window length
+	windows []int // ascending window lengths; the last bounds the walk
 
 	ids   []int32  // dense-ID column
 	taken []uint64 // taken bitset, bit i = record i
@@ -105,20 +128,21 @@ type oracleEmitter struct {
 	seg     uint64        // current backward-segment stamp
 
 	keys []uint64 // emitted packed ref keys | direction bit, Visit order
+	ends []int    // keys[:ends[w]] is window windows[w]'s emission
 }
 
 // newPackedEmitter points a fresh emitter at a packed view's columns.
-func newPackedEmitter(pt *trace.Packed, windowLen int) *oracleEmitter {
-	if windowLen <= 0 {
-		panic(fmt.Sprintf("core: window length %d must be positive", windowLen))
-	}
+func newPackedEmitter(pt *trace.Packed, windows []int) *oracleEmitter {
+	checkWindows(windows)
+	widest := windows[len(windows)-1]
 	return &oracleEmitter{
-		n:       windowLen,
+		windows: windows,
 		ids:     pt.IDs(),
 		taken:   pt.TakenWords(),
 		back:    pt.BackwardWords(),
 		scratch: make([]emitScratch, pt.NumBranches()),
-		keys:    make([]uint64, 0, 2*windowLen),
+		keys:    make([]uint64, 0, 2*widest),
+		ends:    make([]int, len(windows)),
 	}
 }
 
@@ -133,7 +157,8 @@ func (e *oracleEmitter) back1(p int) bool {
 }
 
 // emit fills e.keys with the tagged instances visible from trace
-// position i. The loop mirrors Window.Visit line for line: emission
+// position i in the widest window, and e.ends with each window's
+// prefix length. The loop mirrors Window.Visit line for line: emission
 // happens before the occurrence count update, backward refs dedup within
 // one iteration segment, and both counters saturate exactly like the
 // reference's uint8 arithmetic.
@@ -144,13 +169,23 @@ func (e *oracleEmitter) emit(i int) {
 	e.gen++
 	e.seg++
 	backs := uint8(0)
-	lo := i - e.n
+	windows, ends := e.windows, e.ends
+	lo := i - windows[len(windows)-1]
 	if lo < 0 {
 		lo = 0
 	}
+	w := 0
+	cut := i - windows[0] // window w holds the records at p >= cut
 	ids := e.ids
 	scratch := e.scratch
 	for p := i - 1; p >= lo; p-- {
+		if p < cut {
+			// Windows are strictly ascending, so one step back crosses
+			// at most one window's edge.
+			ends[w] = len(e.keys) //bplint:ignore bce-hoist the append position moves every iteration; it is read, not hoistable
+			w++
+			cut = i - windows[w]
+		}
 		rid := ids[p]
 		tb := uint64(0)
 		tk := e.taken1(p)
@@ -183,28 +218,28 @@ func (e *oracleEmitter) emit(i int) {
 			e.seg++ // new segment: fresh dedup stamps
 		}
 	}
-}
-
-// candEntry is one candidate's joint distribution in flat form:
-// cnt[state*2 + outcome], state/outcome 0 = taken, 1 = not-taken.
-type candEntry struct {
-	key uint64
-	cnt [4]uint32
-}
-
-func (e *candEntry) presence() uint32 {
-	return e.cnt[0] + e.cnt[1] + e.cnt[2] + e.cnt[3]
+	for ; w < len(ends); w++ {
+		ends[w] = len(e.keys) //bplint:ignore bce-hoist one read per remaining window after the walk
+	}
 }
 
 // candTable is an open-addressed (linear-probe) candidate table: slots
-// hold indices into the dense cands slice, so probing touches one flat
-// int32 array and stats updates touch one flat entry — no pointers, no
-// per-candidate allocation. It reproduces the reference's mid-stream
-// watermark prune (see OracleConfig.MaxCandidates) bit for bit.
+// hold indices into the dense keys slice, so probing touches one flat
+// int32 array and stats updates touch one flat count array — no
+// pointers, no per-candidate allocation. Candidate c's counts are
+// cnt[c*stride : (c+1)*stride]: one [4]uint32 joint distribution per
+// window-distance bucket, cell state*2 + outcome (state/outcome 0 =
+// taken, 1 = not-taken), so a one-window table costs what a plain
+// {key, [4]uint32} table does. A one-window table reproduces the
+// reference's mid-stream watermark prune (see OracleConfig.MaxCandidates)
+// bit for bit; a table with several buckets never prunes (insert
+// reports the watermark instead).
 type candTable struct {
-	slots  []int32 // index into cands, -1 = empty; power-of-two sized
+	slots  []int32 // index into keys, -1 = empty; power-of-two sized
 	shift  uint    // 64 - log2(len(slots)), for fibonacci hashing
-	cands  []candEntry
+	keys   []uint64
+	cnt    []uint32
+	stride int // 4 × buckets
 	prunes int // watermark prunes fired (summed into core.oracle.prune.events)
 }
 
@@ -214,63 +249,92 @@ const candTableInitSlots = 16
 // probe chain.
 func (t *candTable) probe(key uint64) int {
 	slots := t.slots
-	cands := t.cands
+	keys := t.keys
 	mask := uint64(len(slots) - 1)
 	h := (key * 0x9E3779B97F4A7C15) >> t.shift
 	for {
 		s := slots[h]
-		if s < 0 || cands[s].key == key {
+		if s < 0 || keys[s] == key {
 			return int(h)
 		}
 		h = (h + 1) & mask
 	}
 }
 
-// init sizes the slot array up front; the counting loop hand-inlines
-// the hit path (probe + increment), so it never checks for a nil table.
-func (t *candTable) init() {
+// init sizes the slot array up front for the given number of buckets;
+// the counting loop hand-inlines the hit path (probe + increment), so it
+// never checks for a nil table.
+func (t *candTable) init(buckets int) {
 	t.slots = make([]int32, candTableInitSlots)
 	for i := range t.slots {
 		t.slots[i] = -1
 	}
 	t.shift = 64 - uint(bits.TrailingZeros(candTableInitSlots))
+	t.stride = 4 * buckets
 }
 
 // insert is the counting loop's miss path: h is the empty slot probe
-// returned for key. The watermark prune fires exactly where the
-// reference's does — before an insertion that would exceed
-// 2*maxCandidates live candidates.
-func (t *candTable) insert(h int, key uint64, cell uint32, maxCandidates int, addrs []trace.Addr) {
-	if len(t.cands) >= 2*maxCandidates {
+// returned for key, cell its count index within the candidate's stride.
+// The watermark fires exactly where the reference's prune does — before
+// an insertion that would exceed 2*maxCandidates live candidates. A
+// one-bucket table prunes there; a table with several buckets leaves
+// itself untouched and returns false.
+func (t *candTable) insert(h int, key uint64, cell int, maxCandidates int, addrs []trace.Addr) bool {
+	if len(t.keys) >= 2*maxCandidates {
+		if t.stride != 4 {
+			return false
+		}
 		t.prune(maxCandidates, addrs)
 		h = t.probe(key) // table rebuilt: find the new insert slot
 	}
-	var e candEntry
-	e.key = key
-	e.cnt[cell] = 1
-	t.cands = append(t.cands, e)
-	t.slots[h] = int32(len(t.cands) - 1)
-	if 4*len(t.cands) >= 3*len(t.slots) {
+	t.keys = append(t.keys, key)
+	n := len(t.cnt)
+	t.cnt = slices.Grow(t.cnt, t.stride)[:n+t.stride]
+	clear(t.cnt[n:])
+	t.cnt[n+cell] = 1
+	t.slots[h] = int32(len(t.keys) - 1)
+	if 4*len(t.keys) >= 3*len(t.slots) {
 		t.rebuild(2 * len(t.slots))
 	}
+	return true
+}
+
+// presence sums candidate c's counts over every bucket.
+func (t *candTable) presence(c int) uint32 {
+	var p uint32
+	for _, v := range t.cnt[c*t.stride : (c+1)*t.stride] {
+		p += v
+	}
+	return p
 }
 
 // prune keeps only the maxKeep candidates with the highest presence
 // counts, ties broken by ref identity — the same total order as the
 // reference's branchProfile.prune.
 func (t *candTable) prune(maxKeep int, addrs []trace.Addr) {
-	if len(t.cands) <= maxKeep {
+	if len(t.keys) <= maxKeep {
 		return
 	}
 	t.prunes++
-	sort.Slice(t.cands, func(i, j int) bool {
-		pi, pj := t.cands[i].presence(), t.cands[j].presence()
+	order := make([]int, len(t.keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		pi, pj := t.presence(order[i]), t.presence(order[j])
 		if pi != pj {
 			return pi > pj
 		}
-		return keyRefLess(t.cands[i].key, t.cands[j].key, addrs)
+		return keyRefLess(t.keys[order[i]], t.keys[order[j]], addrs)
 	})
-	t.cands = t.cands[:maxKeep]
+	oldKeys, oldCnt, stride := t.keys, t.cnt, t.stride
+	keys := make([]uint64, 0, cap(oldKeys))
+	cnt := make([]uint32, 0, cap(oldCnt))
+	for _, c := range order[:maxKeep] {
+		keys = append(keys, oldKeys[c])
+		cnt = append(cnt, oldCnt[c*stride:(c+1)*stride]...)
+	}
+	t.keys, t.cnt = keys, cnt
 	t.rebuild(len(t.slots))
 }
 
@@ -283,66 +347,95 @@ func (t *candTable) rebuild(size int) {
 	}
 	t.slots = slots
 	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
-	cands := t.cands
-	for i := range cands {
-		slots[t.probe(cands[i].key)] = int32(i)
+	for i, key := range t.keys {
+		slots[t.probe(key)] = int32(i)
 	}
 }
 
 // kernelProfile is the pass-1 state for one static branch (dense-ID
-// indexed; the zero value is ready to use).
+// indexed).
 type kernelProfile struct {
 	total [2]uint32 // outcome totals: [taken, not-taken]
 	tab   candTable
 }
 
-// profileScore mirrors branchProfile.profileScore over the flat counts.
-func (p *kernelProfile) profileScore(e *candEntry) uint32 {
-	score := max32(e.cnt[0], e.cnt[1]) + max32(e.cnt[2], e.cnt[3])
-	presentT := e.cnt[0] + e.cnt[2]
-	presentN := e.cnt[1] + e.cnt[3]
+// profileScore mirrors branchProfile.profileScore over one window's
+// flat counts.
+func (p *kernelProfile) profileScore(c []uint32) uint32 {
+	score := max32(c[0], c[1]) + max32(c[2], c[3])
+	presentT := c[0] + c[2]
+	presentN := c[1] + c[3]
 	return score + max32(p.total[0]-presentT, p.total[1]-presentN)
 }
 
-// profilePacked is oracle pass 1 over the columnar trace view:
-// one stream, flat per-branch candidate tables, no closures and no
-// per-candidate allocations. It produces bit-identical results to
-// ReferenceProfileCandidates.
-func profilePacked(pt *trace.Packed, cfg OracleConfig) map[trace.Addr]*Candidates {
-	cfg = cfg.withDefaults()
-	defer obs.Or(cfg.Obs).StartSpan("core.oracle.profile").End()
+// profileGrid is oracle pass 1 over the columnar trace view for every
+// window of an ascending list: one stream at the widest window, flat
+// per-branch candidate tables counting per distance bucket, no closures
+// and no per-candidate allocations. Entry w is bit-identical to
+// ReferenceProfileCandidates at window windows[w].
+//
+// The widest window's candidates include every narrower window's, so
+// when no table reaches the 2×MaxCandidates watermark no single-window
+// profile would have pruned either and the bucket prefix sums are
+// exact. When one does, the grid is abandoned and every window reruns
+// as a one-window profile, which prunes exactly as the reference does.
+// Either way the candidate counters reach the registry only for the
+// profiles whose candidates are returned.
+func profileGrid(pt *trace.Packed, windows []int, cfg OracleConfig) []map[trace.Addr]*Candidates {
 	addrs := pt.Addrs()
 	profiles := make([]kernelProfile, pt.NumBranches())
 	for id := range profiles {
-		profiles[id].tab.init()
+		profiles[id].tab.init(len(windows))
 	}
-	em := newPackedEmitter(pt, cfg.WindowLen)
-	profileRange(em, profiles, cfg, addrs, 0, pt.Len())
-	return assembleCandidates(profiles, addrs, cfg)
+	if profileRange(newPackedEmitter(pt, windows), profiles, cfg, addrs) {
+		return assembleCandidates(profiles, addrs, len(windows), cfg)
+	}
+	out := make([]map[trace.Addr]*Candidates, len(windows))
+	for w := range windows {
+		out[w] = profileGrid(pt, windows[w:w+1], cfg)[0]
+	}
+	return out
 }
 
-// assembleCandidates turns pass 1's per-branch candidate tables into the
-// ranked Candidates map.
-func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg OracleConfig) map[trace.Addr]*Candidates {
+// assembleCandidates turns pass 1's per-branch candidate tables into
+// each window's ranked Candidates map: it prefix-sums the distance
+// buckets in place, so a candidate's bucket w then holds its counts in
+// window w, skips the candidates window w never saw, and ranks the rest.
+func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, windows int, cfg OracleConfig) []map[trace.Addr]*Candidates {
 	reg := obs.Or(cfg.Obs)
-	result := make(map[trace.Addr]*Candidates, len(profiles))
+	result := make([]map[trace.Addr]*Candidates, windows)
+	for w := range result {
+		result[w] = make(map[trace.Addr]*Candidates, len(profiles))
+	}
+	var refs []Ref
 	var scratch []scoredRef
 	var prunes, occupancy int64
 	for id := range profiles {
 		p := &profiles[id]
-		prunes += int64(p.tab.prunes)
-		occupancy += int64(len(p.tab.cands))
-		reg.Gauge("core.oracle.candidates.peak").Max(int64(len(p.tab.cands)))
-		scratch = scratch[:0]
-		for ci := range p.tab.cands {
-			e := &p.tab.cands[ci]
-			scratch = append(scratch, scoredRef{
-				ref:      decodeRefKey(e.key, addrs),
-				score:    p.profileScore(e),
-				presence: e.presence(),
-			})
+		tab := &p.tab
+		prunes += int64(tab.prunes)
+		refs = refs[:0]
+		for c, key := range tab.keys {
+			refs = append(refs, decodeRefKey(key, addrs))
+			row := tab.cnt[c*tab.stride : (c+1)*tab.stride]
+			for x := 4; x < len(row); x++ {
+				row[x] += row[x-4]
+			}
 		}
-		result[addrs[id]] = rankCandidates(scratch, int(p.total[0]+p.total[1]), cfg.TopK)
+		for w := range result {
+			scratch = scratch[:0]
+			for c := range tab.keys {
+				cnt := tab.cnt[c*tab.stride+4*w : c*tab.stride+4*w+4]
+				pres := cnt[0] + cnt[1] + cnt[2] + cnt[3]
+				if pres == 0 {
+					continue // beyond window w: no per-window build saw it
+				}
+				scratch = append(scratch, scoredRef{ref: refs[c], score: p.profileScore(cnt), presence: pres})
+			}
+			occupancy += int64(len(scratch))
+			reg.Gauge("core.oracle.candidates.peak").Max(int64(len(scratch)))
+			result[w][addrs[id]] = rankCandidates(scratch, int(p.total[0]+p.total[1]), cfg.TopK)
+		}
 	}
 	// Candidate occupancy and prune pressure depend only on (trace,
 	// config): the profiling stream is sequential, so the counters are
@@ -352,77 +445,116 @@ func assembleCandidates(profiles []kernelProfile, addrs []trace.Addr, cfg Oracle
 	return result
 }
 
-// profileRange is pass 1's per-record loop over emitter column positions
-// [lo, hi): emit the window at every position and count each emitted
-// candidate into the branch's flat table, hand-inlining the table hit
-// path.
+// profileRange is pass 1's per-record loop over the whole trace: emit
+// the widest window at every position and count each emitted candidate
+// into the branch's flat table under its distance bucket,
+// hand-inlining the table hit path. It returns false, abandoning the
+// stream, when a multi-bucket table reaches the prune watermark.
 //
 //bplint:hot
-func profileRange(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr, lo, hi int) {
+func profileRange(em *oracleEmitter, profiles []kernelProfile, cfg OracleConfig, addrs []trace.Addr) bool {
 	allowOcc := cfg.schemeAllowed(Occurrence)
 	allowBack := cfg.schemeAllowed(BackwardCount)
 	ids := em.ids
-	for i := lo; i < hi; i++ {
+	for i := range ids {
 		p := &profiles[ids[i]]
-		out := uint32(1)
+		out := 1
 		if em.taken1(i) {
 			out = 0
 		}
 		p.total[out]++
 		em.emit(i)
 		tab := &p.tab
-		for _, key := range em.keys {
-			if key&refKeySchemeBit != 0 {
-				if !allowBack {
+		start := 0
+		for b, end := range em.ends {
+			for _, key := range em.keys[start:end] {
+				if key&refKeySchemeBit != 0 {
+					if !allowBack {
+						continue
+					}
+				} else if !allowOcc {
 					continue
 				}
-			} else if !allowOcc {
-				continue
+				cell := 4*b + out
+				if key&refKeyTakenBit == 0 {
+					cell += 2 // state = not-taken
+				}
+				key &^= refKeyTakenBit
+				// Hand-inlined table hit path; misses take the insert call.
+				h := tab.probe(key)
+				if s := tab.slots[h]; s >= 0 { //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
+					tab.cnt[int(s)*tab.stride+cell]++ //bplint:ignore bce-hoist insert may grow the count array mid-loop; the header reload is the correctness contract
+				} else if !tab.insert(h, key, cell, cfg.MaxCandidates, addrs) { //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark
+					return false
+				}
 			}
-			cell := out
-			if key&refKeyTakenBit == 0 {
-				cell += 2 // state = not-taken
-			}
-			key &^= refKeyTakenBit
-			// Hand-inlined table hit path; misses take the insert call.
-			h := tab.probe(key)
-			if s := tab.slots[h]; s >= 0 { //bplint:ignore bce-hoist insert may swap the slot array mid-loop; the header reload is the correctness contract
-				tab.cands[s].cnt[cell]++ //bplint:ignore bce-hoist insert may grow the candidate array mid-loop; the header reload is the correctness contract
-			} else {
-				tab.insert(h, key, cell, cfg.MaxCandidates, addrs) //bplint:ignore kernel-purity miss path only; growth is amortized and bounded by the watermark prune
-			}
+			start = end
 		}
 	}
+	return true
 }
 
-// instMatrix stores, for one static branch, each dynamic instance's
-// packed candidate-state vector (2 bits per beam candidate: StateTaken,
-// StateNotTaken or StateAbsent) and its outcome bitset. Both are sized
-// to the branch's dynamic count up front, so push never allocates.
-type instMatrix struct {
-	vecs []uint64
-	outs []uint64 // bit t = instance t resolved taken
-	n    int
+// slotCodes describes the select pass's per-instance slot codes. A code
+// is bucket<<1 | notTaken, where bucket is the smallest window index
+// whose window holds the instance and len(windows) means absent from
+// all of them; with one window the codes are exactly the State values
+// (StateTaken, StateNotTaken, StateAbsent).
+type slotCodes struct {
+	bits   int      // bits per code: bit 0 the direction, bits [1, bits) the bucket
+	absent uint64   // the code of an instance outside every window
+	byDist []uint64 // byDist[d]: bucket<<1 of distance d, d in [1, widest]
 }
 
-func newInstMatrix(total int) instMatrix {
-	return instMatrix{vecs: make([]uint64, total), outs: make([]uint64, (total+63)/64)}
-}
-
-func (m *instMatrix) push(vec uint64, taken bool) {
-	m.vecs[m.n] = vec
-	if taken {
-		m.outs[m.n>>6] |= 1 << (uint(m.n) & 63)
+func newSlotCodes(windows []int) slotCodes {
+	k := len(windows)
+	c := slotCodes{bits: 1 + bits.Len(uint(k)), absent: uint64(k) << 1}
+	c.byDist = make([]uint64, windows[k-1]+1)
+	w := 0
+	for d := 1; d < len(c.byDist); d++ {
+		if d > windows[w] {
+			w++
+		}
+		c.byDist[d] = uint64(w) << 1
 	}
-	m.n++
+	return c
 }
 
-// beam is one branch's select-pass state: its beam candidates bound to
-// the instance index, slot i resolving beam candidate i, and the
-// instance matrix the collection stream fills.
+// instMatrix stores one static branch's dynamic instances bit-sliced:
+// for instance word x (instances 64x … 64x+63), union slot u and code
+// bit j, planes[(x*slots+u)*bits+j] has bit t&63 set when instance t's
+// code for slot u has bit j set. One instance's codes therefore sit in
+// one contiguous row of slots×bits words. Both arrays are sized to the
+// branch's dynamic count up front, so the collection stream never
+// allocates.
+type instMatrix struct {
+	planes []uint64
+	row    int      // words per instance word: slots × bits
+	outs   []uint64 // bit t = instance t resolved taken
+	n      int
+}
+
+func newInstMatrix(total, row int) instMatrix {
+	words := (total + 63) / 64
+	return instMatrix{planes: make([]uint64, words*row), row: row, outs: make([]uint64, words)}
+}
+
+// push appends an instance resolved in direction t (1 = taken) and
+// returns the row of its instance word and its bit within the words.
+func (m *instMatrix) push(t uint64) ([]uint64, uint) {
+	x, b := m.n>>6, uint(m.n)&63
+	m.outs[x] |= t << b
+	m.n++
+	return m.planes[x*m.row : (x+1)*m.row], b
+}
+
+// beam is one branch's select-pass state: the union of every window's
+// beam bound to the instance index (union slot u resolving refs[u]),
+// each window's beam as union slots, and the instance matrix the
+// collection stream fills.
 type beam struct {
-	refs []histRef
-	m    instMatrix
+	refs  []histRef
+	slots [][]int // slots[w][j]: union slot of window w's beam candidate j
+	m     instMatrix
 }
 
 // branchSelection is one branch's scored selections, written into a
@@ -431,52 +563,53 @@ type branchSelection struct {
 	size1, size2, size3 []Ref
 }
 
-// selectPacked is oracle passes 2+3 over the columnar trace view,
-// folded into a single collection stream plus an off-trace scoring
-// stage. For every dynamic instance of a branch with a non-empty beam it
-// records the packed state vector of all beam candidates (2 bits each,
-// ≤ 64 bits at the maxTopK beam) into the branch's instance matrix; the
-// exact pair/triple joint distributions are then recovered per branch
-// with bit-sliced popcount kernels and scored in parallel across the
-// internal/runner pool (cfg.ScoreParallel workers, identical output at
-// any level). Produces bit-identical Selections to ReferenceSelectRefs.
-func selectPacked(pt *trace.Packed, cands map[trace.Addr]*Candidates, cfg OracleConfig) *Selections {
-	cfg = cfg.withDefaults()
-	defer obs.Or(cfg.Obs).StartSpan("core.oracle.select").End()
-
+// selectGrid is oracle passes 2+3 over the columnar trace view for every
+// window of an ascending list, scoring cands[w] at window windows[w].
+// One collection stream records, for every dynamic instance of a branch
+// with a non-empty beam in some window, the code of each slot of the
+// union of its windows' beams; each window's pair/triple joint
+// distributions are then recovered per branch with bit-sliced popcount
+// kernels, slots beyond the window's cutoff reading as StateAbsent, and
+// scored in parallel across the internal/runner pool (cfg.ScoreParallel
+// workers, identical output at any level). Entry w is bit-identical to
+// ReferenceSelectRefs at window windows[w].
+func selectGrid(pt *trace.Packed, windows []int, cands []map[trace.Addr]*Candidates, cfg OracleConfig) []*Selections {
 	pcs := sortedPCs(cands)
-	beams, hists, beamOf := buildBeams(pt, pcs, cands)
+	codes := newSlotCodes(windows)
+	beams, hists, beamOf := buildBeams(pt, pcs, cands, &codes)
 
-	// Collection stream: one pass over the trace, one packed state
-	// vector per dynamic instance.
-	collectBeams(pt, beams, hists, uint64(cfg.WindowLen))
+	// Collection stream: one pass over the trace, one set of union-slot
+	// codes per dynamic instance.
+	collectBeams(pt, beams, hists, &codes)
 
-	return scoreSelections(pcs, cands, beamOf, cfg)
+	return scoreSelections(pcs, cands, beamOf, &codes, cfg)
 }
 
-// sortedPCs returns the canonical branch order: candidate-map keys,
-// sorted. Scoring cells are created in this order, so the Selections are
-// deterministic at any parallelism.
-func sortedPCs(cands map[trace.Addr]*Candidates) []trace.Addr {
-	pcs := make([]trace.Addr, 0, len(cands))
-	for pc := range cands {
-		pcs = append(pcs, pc)
+// sortedPCs returns the canonical branch order: every candidate map's
+// keys, deduplicated and sorted. Scoring cells are created in this
+// order, so the Selections are deterministic at any parallelism.
+func sortedPCs(cands []map[trace.Addr]*Candidates) []trace.Addr {
+	var pcs []trace.Addr
+	for _, m := range cands {
+		for pc := range m {
+			pcs = append(pcs, pc)
+		}
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	return pcs
+	slices.Sort(pcs)
+	return slices.Compact(pcs)
 }
 
-// buildBeams binds every non-empty beam to the instance index, both
-// dense-ID indexed (for the collection loop) and keyed by PC (for the
-// scoring stage), and returns the per-dense-ID histories of the PCs some
-// beam candidate names (nil for the rest). A candidate naming a PC
-// absent from the trace binds to no history: it can never be in any
+// buildBeams binds every branch's non-empty beam union to the instance
+// index, both dense-ID indexed (for the collection loop) and keyed by PC
+// (for the scoring stage), and returns the per-dense-ID histories of the
+// PCs some beam candidate names (nil for the rest). A candidate naming a
+// PC absent from the trace binds to no history: it can never be in any
 // window, so it stays StateAbsent, exactly like the reference's States
 // resolution.
-func buildBeams(pt *trace.Packed, pcs []trace.Addr, cands map[trace.Addr]*Candidates) ([]*beam, []*instHist, map[trace.Addr]*beam) {
+func buildBeams(pt *trace.Packed, pcs []trace.Addr, cands []map[trace.Addr]*Candidates, codes *slotCodes) ([]*beam, []*instHist, map[trace.Addr]*beam) {
 	beams := make([]*beam, pt.NumBranches())
 	hists := make([]*instHist, pt.NumBranches())
-	beamOf := make(map[trace.Addr]*beam, len(cands))
+	beamOf := make(map[trace.Addr]*beam, len(pcs))
 	histOf := func(pc trace.Addr) *instHist {
 		id, ok := pt.IDOf(pc)
 		if !ok {
@@ -488,18 +621,37 @@ func buildBeams(pt *trace.Packed, pcs []trace.Addr, cands map[trace.Addr]*Candid
 		return hists[id]
 	}
 	counts := pt.Counts()
+	union := make(map[Ref]int)
 	for _, pc := range pcs {
-		c := cands[pc]
-		if len(c.Refs) == 0 {
+		bm := &beam{slots: make([][]int, len(cands))}
+		var unionRefs []Ref
+		clear(union)
+		for w, m := range cands {
+			c := m[pc]
+			if c == nil || len(c.Refs) == 0 {
+				continue
+			}
+			bm.slots[w] = make([]int, len(c.Refs))
+			for j, r := range c.Refs {
+				u, ok := union[r]
+				if !ok {
+					u = len(unionRefs)
+					union[r] = u
+					unionRefs = append(unionRefs, r)
+				}
+				bm.slots[w][j] = u
+			}
+		}
+		if len(unionRefs) == 0 {
 			continue
 		}
-		bm := &beam{refs: make([]histRef, len(c.Refs))}
-		for slot, r := range c.Refs {
-			bm.refs[slot] = bindRef(r, histOf)
+		bm.refs = make([]histRef, len(unionRefs))
+		for u, r := range unionRefs {
+			bm.refs[u] = bindRef(r, histOf)
 		}
 		beamOf[pc] = bm
 		if id, ok := pt.IDOf(pc); ok {
-			bm.m = newInstMatrix(int(counts[id]))
+			bm.m = newInstMatrix(int(counts[id]), len(bm.refs)*codes.bits)
 			beams[id] = bm
 		}
 	}
@@ -507,22 +659,22 @@ func buildBeams(pt *trace.Packed, pcs []trace.Addr, cands map[trace.Addr]*Candid
 }
 
 // scoreSelections runs the off-trace scoring stage — per-branch,
-// embarrassingly parallel, pre-assigned result slots — and assembles the
-// Selections.
-func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, beamOf map[trace.Addr]*beam, cfg OracleConfig) *Selections {
-	results := make([]branchSelection, len(pcs))
+// embarrassingly parallel, pre-assigned result slots — and assembles
+// each window's Selections.
+func scoreSelections(pcs []trace.Addr, cands []map[trace.Addr]*Candidates, beamOf map[trace.Addr]*beam, codes *slotCodes, cfg OracleConfig) []*Selections {
+	results := make([][]branchSelection, len(pcs))
 	cells := make([]runner.Cell, 0, len(pcs))
 	for i, pc := range pcs {
-		c := cands[pc]
-		if len(c.Refs) == 0 {
+		bm := beamOf[pc]
+		if bm == nil {
 			continue
 		}
-		i, bm, refs := i, beamOf[pc], c.Refs
+		i, pc := i, pc
 		cells = append(cells, runner.Cell{
 			Exhibit:  "oracle-score",
 			Workload: fmt.Sprintf("0x%x", uint32(pc)),
 			Run: func(context.Context) error {
-				results[i] = scoreBranch(refs, &bm.m)
+				results[i] = scoreBranch(pc, bm, cands, codes)
 				return nil
 			},
 		})
@@ -532,137 +684,212 @@ func scoreSelections(pcs []trace.Addr, cands map[trace.Addr]*Candidates, beamOf 
 		panic("core: oracle scoring pool failed: " + err.Error())
 	}
 
-	sel := &Selections{}
-	for k := 1; k <= MaxSelectiveRefs; k++ {
-		sel.BySize[k] = make(Assignment, len(cands))
-	}
-	for i, pc := range pcs {
-		r := &results[i]
-		if r.size1 == nil {
-			continue // empty beam: no assignment, like the reference
+	out := make([]*Selections, len(cands))
+	for w := range out {
+		sel := &Selections{}
+		for k := 1; k <= MaxSelectiveRefs; k++ {
+			sel.BySize[k] = make(Assignment, len(cands[w]))
 		}
-		sel.BySize[1][pc] = r.size1
-		sel.BySize[2][pc] = r.size2
-		sel.BySize[3][pc] = r.size3
+		for i, pc := range pcs {
+			if results[i] == nil {
+				continue
+			}
+			r := &results[i][w]
+			if r.size1 == nil {
+				continue // empty beam: no assignment, like the reference
+			}
+			sel.BySize[1][pc] = r.size1
+			sel.BySize[2][pc] = r.size2
+			sel.BySize[3][pc] = r.size3
+		}
+		out[w] = sel
 	}
-	return sel
+	return out
 }
 
 // collectBeams is the folded pass-2/3 per-record loop: for every
-// dynamic instance of a branch with a beam, resolve each beam slot
-// through the instance index within the last n records and push the
-// packed state vector, then commit the record to the index.
+// dynamic instance of a branch with a beam, resolve each union slot
+// through the instance index and set its code — direction and distance
+// bucket — into the branch's bit-sliced matrix, then commit the record
+// to the index.
 //
 //bplint:hot
-func collectBeams(pt *trace.Packed, beams []*beam, hists []*instHist, n uint64) {
+func collectBeams(pt *trace.Packed, beams []*beam, hists []*instHist, codes *slotCodes) {
 	taken, back := pt.TakenWords(), pt.BackwardWords()
+	byDist, absent, width := codes.byDist, codes.absent, codes.bits
+	widest := uint64(len(byDist) - 1)
 	var ix instIndex
 	for i, id := range pt.IDs() {
 		t := taken[i>>6] >> (uint(i) & 63) & 1
 		if bm := beams[id]; bm != nil {
-			vec := uint64(0)
-			for slot, r := range bm.refs {
-				vec |= uint64(ix.state(r, n)) << (2 * uint(slot))
+			row, b := bm.m.push(t)
+			for u, r := range bm.refs {
+				code := absent
+				if v, ok := ix.inst(r); ok {
+					if d := ix.seq - v>>1; d <= widest {
+						code = byDist[d] | (v&1 ^ 1)
+					}
+				}
+				seg := row[u*width : (u+1)*width]
+				for ; code != 0; code &= code - 1 {
+					seg[bits.TrailingZeros64(code)] |= 1 << b
+				}
 			}
-			bm.m.push(vec, t != 0)
 		}
 		ix.push(hists[id], t, back[i>>6]>>(uint(i)&63)&1)
 	}
 }
 
-// buildMasks bit-slices a branch's instance matrix: masks[slot][state]
-// has bit t set when instance t saw beam candidate slot in that state.
-func buildMasks(k int, m *instMatrix) [][3][]uint64 {
-	words := (m.n + 63) / 64
-	masks := make([][3][]uint64, k)
-	for s := range masks {
-		for st := 0; st < NumStates; st++ {
-			masks[s][st] = make([]uint64, words) //bplint:ignore kernel-purity mask planes are sized once per branch, before the bit-sliced record loops
+// windowMasks fills masks[j] with window w's taken and not-taken planes
+// for beam candidate j (union slot slots[j]): bit t set when instance t
+// saw the candidate in that state within the window. An instance whose
+// bucket exceeds w (or is absent) is in neither plane; bits past the
+// instance count stay clear.
+func windowMasks(masks [][2][]uint64, m *instMatrix, slots []int, w int, codes *slotCodes) {
+	width := codes.bits
+	tail := ^uint64(0)
+	if r := uint(m.n) & 63; r != 0 {
+		tail = 1<<r - 1
+	}
+	for j, u := range slots {
+		mt, mn := masks[j][0], masks[j][1]
+		for x := range mt {
+			p := m.planes[x*m.row+u*width : x*m.row+(u+1)*width]
+			// Bit-sliced bucket > w, most significant bucket bit first.
+			gt, eq := uint64(0), ^uint64(0)
+			for i := width - 1; i >= 1; i-- {
+				if w>>(i-1)&1 == 0 {
+					gt |= eq & p[i]
+					eq &^= p[i]
+				} else {
+					eq &= p[i]
+				}
+			}
+			in := ^gt
+			if x == len(mt)-1 {
+				in &= tail
+			}
+			mt[x] = in &^ p[0]
+			mn[x] = in & p[0]
 		}
 	}
-	for t, vec := range m.vecs {
-		w, b := t>>6, uint(t)&63
-		for slot := 0; slot < k; slot++ {
-			st := vec >> (2 * uint(slot)) & 3
-			masks[slot][st][w] |= 1 << b
-		}
-	}
-	return masks
 }
 
-// patternCount tallies one joint pattern: the instances where every
-// listed mask agrees, split by outcome. Returns the
-// statically-filled-PHT correct count max(taken, not-taken).
-func patternScore(a, b []uint64, outT []uint64) uint32 {
+// tally is one joint pattern's instance count and taken count.
+type tally struct{ tot, tT uint32 }
+
+func (a tally) minus(b tally) tally { return tally{a.tot - b.tot, a.tT - b.tT} }
+
+// score is the statically-filled-PHT correct count of the pattern:
+// max(taken, not-taken).
+func (a tally) score() uint32 { return max32(a.tT, a.tot-a.tT) }
+
+// and2 tallies the instances where both masks are set.
+func and2(a, b []uint64, outT []uint64) tally {
 	var tot, tT uint32
 	for w, aw := range a {
 		x := aw & b[w]
 		tot += uint32(bits.OnesCount64(x))
 		tT += uint32(bits.OnesCount64(x & outT[w]))
 	}
-	return max32(tT, tot-tT)
+	return tally{tot, tT}
 }
 
-// singleScore is subsetScore for a one-candidate subset.
-func singleScore(ma *[3][]uint64, outT []uint64) uint32 {
-	score := uint32(0)
-	for s := 0; s < NumStates; s++ {
-		var tot, tT uint32
-		for w, mw := range ma[s] {
-			tot += uint32(bits.OnesCount64(mw))
-			tT += uint32(bits.OnesCount64(mw & outT[w]))
-		}
-		score += max32(tT, tot-tT)
-	}
-	return score
+// stateTallies is one beam candidate's per-state tallies, indexed by
+// State.
+type stateTallies [NumStates]tally
+
+// tallies counts a candidate's taken and not-taken instances and
+// derives the absent ones from the branch's totals.
+func tallies(m *[2][]uint64, all tally, outT []uint64) stateTallies {
+	var s stateTallies
+	s[StateTaken] = and2(m[0], m[0], outT)
+	s[StateNotTaken] = and2(m[1], m[1], outT)
+	s[StateAbsent] = all.minus(s[StateTaken]).minus(s[StateNotTaken])
+	return s
 }
 
-// pairScore is subsetScore for a two-candidate subset: nine joint
-// patterns recovered by mask intersection.
-func pairScore(ma, mb *[3][]uint64, outT []uint64) uint32 {
-	score := uint32(0)
-	for sa := 0; sa < NumStates; sa++ {
-		for sb := 0; sb < NumStates; sb++ {
-			score += patternScore(ma[sa], mb[sb], outT)
-		}
-	}
-	return score
+// pairScore is subsetScore for a two-candidate subset. The four
+// present×present patterns come from mask intersections; the five
+// involving an absent state follow from the single-candidate tallies,
+// since the three states partition the instances.
+func pairScore(ma, mb *[2][]uint64, sa, sb *stateTallies, outT []uint64) uint32 {
+	tt := and2(ma[0], mb[0], outT)
+	tn := and2(ma[0], mb[1], outT)
+	nt := and2(ma[1], mb[0], outT)
+	nn := and2(ma[1], mb[1], outT)
+	ta := sa[StateTaken].minus(tt).minus(tn)
+	na := sa[StateNotTaken].minus(nt).minus(nn)
+	at := sb[StateTaken].minus(tt).minus(nt)
+	an := sb[StateNotTaken].minus(tn).minus(nn)
+	aa := sa[StateAbsent].minus(at).minus(an)
+	return tt.score() + tn.score() + nt.score() + nn.score() +
+		ta.score() + na.score() + at.score() + an.score() + aa.score()
 }
 
 // tripleScore is subsetScore for the best pair's 9 precomputed pattern
-// masks extended by one more candidate (27 joint patterns).
-func tripleScore(pm *[9][]uint64, mc *[3][]uint64, outT []uint64) uint32 {
+// masks (tallied in pt) extended by one more candidate: each pattern's
+// absent split is its tally minus the two present splits.
+func tripleScore(pm *[9][]uint64, pt *[9]tally, mc *[2][]uint64, outT []uint64) uint32 {
 	score := uint32(0)
-	for p := 0; p < 9; p++ {
-		for sc := 0; sc < NumStates; sc++ {
-			score += patternScore(pm[p], mc[sc], outT)
-		}
+	for p := range pm {
+		t := and2(pm[p], mc[0], outT)
+		n := and2(pm[p], mc[1], outT)
+		score += t.score() + n.score() + pt[p].minus(t).minus(n).score()
 	}
 	return score
 }
 
-// scoreBranch recovers the reference's pass-2/pass-3 subset search for
-// one branch from its instance matrix: exact best pair by exhaustive
-// popcount scoring (lexicographic enumeration, strict improvement — the
-// same tie-breaks as the reference), then the best greedy triple
-// extension of that pair.
+// scoreBranch scores one branch at every window from its instance
+// matrix: for each window with a non-empty beam it builds that beam's
+// state masks and runs the subset search. Windows with an empty beam get
+// a zero branchSelection.
+func scoreBranch(pc trace.Addr, bm *beam, cands []map[trace.Addr]*Candidates, codes *slotCodes) []branchSelection {
+	words := len(bm.m.outs)
+	out := make([]branchSelection, len(cands))
+	var masks [][2][]uint64
+	for w, slots := range bm.slots {
+		if slots == nil {
+			continue
+		}
+		for len(masks) < len(slots) {
+			masks = append(masks, [2][]uint64{make([]uint64, words), make([]uint64, words)})
+		}
+		windowMasks(masks, &bm.m, slots, w, codes)
+		out[w] = searchSubsets(cands[w][pc].Refs, masks[:len(slots)], bm.m.outs, bm.m.n)
+	}
+	return out
+}
+
+// searchSubsets recovers the reference's pass-2/pass-3 subset search
+// for one branch at one window from its beam's taken/not-taken masks
+// over n instances: exact best pair by exhaustive popcount scoring
+// (lexicographic enumeration, strict improvement — the same tie-breaks
+// as the reference), then the best greedy triple extension of that
+// pair.
 //
 //bplint:hot
-func scoreBranch(refs []Ref, m *instMatrix) branchSelection {
+func searchSubsets(refs []Ref, masks [][2][]uint64, outT []uint64, n int) branchSelection {
 	k := len(refs)
-	masks := buildMasks(k, m)
-	outT := m.outs
+	all := tally{tot: uint32(n)}
+	for _, w := range outT {
+		all.tT += uint32(bits.OnesCount64(w))
+	}
+	st := make([]stateTallies, k)
+	for j := range st {
+		st[j] = tallies(&masks[j], all, outT)
+	}
 
 	var bestI, bestJ int
 	var bestScore uint32
 	if k == 1 {
 		bestI, bestJ = 0, -1
-		bestScore = singleScore(&masks[0], outT)
+		bestScore = st[0][StateTaken].score() + st[0][StateNotTaken].score() + st[0][StateAbsent].score()
 	} else {
 		first := true
 		for i := 0; i < k; i++ {
 			for j := i + 1; j < k; j++ {
-				if s := pairScore(&masks[i], &masks[j], outT); first || s > bestScore {
+				if s := pairScore(&masks[i], &masks[j], &st[i], &st[j], outT); first || s > bestScore {
 					bestI, bestJ, bestScore = i, j, s
 					first = false
 				}
@@ -680,16 +907,35 @@ func scoreBranch(refs []Ref, m *instMatrix) branchSelection {
 	out.size3 = out.size2
 
 	if bestJ >= 0 && k > 2 {
-		var pm [9][]uint64
+		// The nine pattern masks of the best pair, absent states
+		// included: absent is neither taken nor not-taken.
 		words := len(outT)
+		tail := ^uint64(0)
+		if r := uint(n) & 63; r != 0 {
+			tail = 1<<r - 1
+		}
+		var states [2][NumStates][]uint64
+		for side, c := range [2]int{bestI, bestJ} {
+			absent := make([]uint64, words) //bplint:ignore kernel-purity two absent masks built once per branch and window, off the record stream
+			for x := range absent {
+				absent[x] = ^(masks[c][0][x] | masks[c][1][x])
+			}
+			if words > 0 {
+				absent[words-1] &= tail
+			}
+			states[side] = [NumStates][]uint64{StateTaken: masks[c][0], StateNotTaken: masks[c][1], StateAbsent: absent}
+		}
+		var pm [9][]uint64
+		var pt [9]tally
 		for sa := 0; sa < NumStates; sa++ {
 			for sb := 0; sb < NumStates; sb++ {
 				w := make([]uint64, words) //bplint:ignore kernel-purity nine pair-pattern masks built once per branch, off the record stream
-				a, b := masks[bestI][sa], masks[bestJ][sb]
+				a, b := states[0][sa], states[1][sb]
 				for x := range w {
 					w[x] = a[x] & b[x]
 				}
 				pm[sa*3+sb] = w
+				pt[sa*3+sb] = and2(w, w, outT)
 			}
 		}
 		triBest := bestScore
@@ -698,7 +944,7 @@ func scoreBranch(refs []Ref, m *instMatrix) branchSelection {
 			if e == bestI || e == bestJ {
 				continue
 			}
-			if s := tripleScore(&pm, &masks[e], outT); s > triBest {
+			if s := tripleScore(&pm, &pt, &masks[e], outT); s > triBest {
 				triBest, ext = s, e
 			}
 		}

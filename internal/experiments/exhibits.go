@@ -202,6 +202,9 @@ func (s *Suite) BuildReport(ctx context.Context, names []string, opts runner.Opt
 	if err != nil {
 		return nil, err
 	}
+	// Figure 5 reads every one of its windows from the per-trace oracle
+	// grid that also serves the default window.
+	s.oracleWindows = s.gridWindows(slices.Contains(want, "fig5"))
 	report := s.newReport()
 	var cells []runner.Cell
 	for _, e := range exhibits {

@@ -61,7 +61,7 @@ func TestNewSuiteUnknownWorkload(t *testing.T) {
 // NewSuite before any trace is generated, whatever exhibits are asked
 // for later, while specs that only need profiling context pass.
 func TestNewSuiteRejectsBadSpec(t *testing.T) {
-	for _, spec := range []string{"bogus", "gshare:x", "hybrid:(gshare:12),(nope),4"} {
+	for _, spec := range []string{"bogus", "gshare:x", "hybrid:(gshare:12),(nope),4", "hybrid:(ideal-static),(bogus),4"} {
 		var logged []string
 		logf := func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
 		_, err := NewSuite(Config{ExtraSpecs: []string{"bimodal:12", spec}}, logf)

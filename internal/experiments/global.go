@@ -70,35 +70,31 @@ type Figure5Result struct {
 	Acc [][]float64
 }
 
-// figure5Cell sweeps every configured window for one benchmark: one
-// oracle pass per window (the candidate set depends on the window — the
-// default window reuses the shared bundle's selections), then a single
-// sweep call simulating every window's selective predictor over one
-// trace walk. The context is consulted between oracle passes, so an
-// aborted pool stops a cell mid-collection instead of finishing the
-// suite's most expensive exhibit.
+// figure5Cell sweeps every configured window for one benchmark: the
+// selections of every window come from the trace's one oracle grid
+// build (the candidate set depends on the window; the grid shares its
+// profile and select passes across windows, and the per-branch bundle
+// reads the default window from the same grid), then a single sweep
+// call simulates every window's selective predictor over one trace
+// walk. The context is consulted before and after the grid build, so an
+// aborted pool skips the build or the sweep; one grid build is the
+// cancellation granularity.
 func (s *Suite) figure5Cell(ctx context.Context, tr *trace.Trace) ([]float64, error) {
 	accs := make([]float64, len(s.cfg.Fig5Windows))
-	cfgs := make([]core.SelectiveConfig, 0, len(s.cfg.Fig5Windows))
-	for _, n := range s.cfg.Fig5Windows {
-		if ctx.Err() != nil {
-			break
-		}
-		var sels *core.Selections
-		if n == oracleWindow {
-			sels = s.selsFor(tr) // reuse the shared selection
-		} else {
-			s.log("%s: oracle selection (window %d)", tr.Name(), n)
-			sels = s.oracleBuild(tr, s.oracleConfig(n))
-		}
-		cfgs = append(cfgs, core.SelectiveConfig{
+	if err := ctx.Err(); err != nil {
+		return accs, err
+	}
+	selsAt := s.selsFor(tr)
+	cfgs := make([]core.SelectiveConfig, len(s.cfg.Fig5Windows))
+	for c, n := range s.cfg.Fig5Windows {
+		cfgs[c] = core.SelectiveConfig{
 			Name:   fmt.Sprintf("IF 3-branch selective(%d)", n),
 			Window: n,
-			Assign: sels.BySize[3],
-		})
+			Assign: selsAt(n).BySize[3],
+		}
 	}
-	if len(cfgs) == 0 {
-		return accs, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return accs, err
 	}
 	out := s.simSweep(tr, core.NewSelectiveSweep("fig5-selective-windows", cfgs))
 	for c := range cfgs {

@@ -13,14 +13,14 @@ import (
 // buildReportWith builds a full golden-config report with the given
 // oracle pipeline implementation and returns its JSON and rendered-text
 // bytes.
-func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.OracleConfig) *core.Selections) (string, string) {
+func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, []int, core.OracleConfig) []*core.Selections) (string, string) {
 	t.Helper()
 	s, err := NewSuite(goldenConfig(), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oracle != nil {
-		s.oracleBuild = oracle
+		s.oracleGrid = oracle
 	}
 	report, err := s.BuildReport(context.Background(), nil, runner.Options{Parallel: parallel})
 	if err != nil {
@@ -33,6 +33,17 @@ func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.
 	return buf.String(), report.Render()
 }
 
+// referenceGrid is the oracle grid's executable specification: one
+// reference build per window.
+func referenceGrid(tr *trace.Trace, windows []int, cfg core.OracleConfig) []*core.Selections {
+	out := make([]*core.Selections, len(windows))
+	for w, n := range windows {
+		cfg.WindowLen = n
+		out[w] = core.ReferenceBuildSelective(tr, cfg)
+	}
+	return out
+}
+
 // TestReportByteIdentityKernelVsReference is the end-to-end guarantee of
 // the columnar oracle kernels: a full report built with the packed
 // kernels must be byte-identical — JSON and rendered text — to one built
@@ -40,7 +51,7 @@ func buildReportWith(t *testing.T, parallel int, oracle func(*trace.Trace, core.
 // level. This is the acceptance gate for swapping implementations under
 // the public oracle API.
 func TestReportByteIdentityKernelVsReference(t *testing.T) {
-	refJSON, refText := buildReportWith(t, 1, core.ReferenceBuildSelective)
+	refJSON, refText := buildReportWith(t, 1, referenceGrid)
 	for _, parallel := range []int{1, 8} {
 		kJSON, kText := buildReportWith(t, parallel, nil) // default: columnar kernels
 		if kJSON != refJSON {

@@ -9,8 +9,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"branchcorr/internal/bp"
@@ -162,17 +162,24 @@ type Suite struct {
 	cfg     Config
 	obs     *obs.Registry
 	traces  []*trace.Trace
-	sels    memo[*core.Selections]
+	sels    memo[[]*core.Selections]
 	global  memo[*globalBundle]
 	classes memo[*core.PAClassification]
 	base    memo[*baseBundle]
 	log     func(format string, args ...any)
 
-	// oracleBuild runs the full oracle pipeline for one trace/config. It
-	// defaults to the columnar kernels over the memoized packed view;
-	// differential tests swap in core.ReferenceBuildSelective to prove
+	// oracleWindows is the window list every per-trace oracle grid
+	// covers: sorted(Fig5Windows ∪ {oracleWindow}) when the report asks
+	// for fig5, {oracleWindow} otherwise. BuildReport sets it before any
+	// cell runs.
+	oracleWindows []int
+
+	// oracleGrid runs the full oracle pipeline for one trace at every
+	// window of an ascending list. It defaults to core.OracleGrid's
+	// columnar kernels over the memoized packed view; differential tests
+	// swap in a loop of core.ReferenceBuildSelective calls to prove
 	// report bytes are implementation-independent.
-	oracleBuild func(tr *trace.Trace, cfg core.OracleConfig) *core.Selections
+	oracleGrid func(tr *trace.Trace, windows []int, cfg core.OracleConfig) []*core.Selections
 
 	// simRun drives a batch of predictors over a trace. It defaults to
 	// sim.Simulate (with the suite's registry), whose columnar fast path
@@ -196,17 +203,23 @@ type Suite struct {
 
 // NewSuite checks the configured extra specs, then generates traces for
 // the configured workloads and returns a ready suite. A spec that cannot
-// parse fails here, before any trace exists; specs that only lack
-// profiling context (ideal-static, profiled-gshare) get it per trace.
+// parse fails here, before any trace exists: the check hands every spec
+// the profiling context of an empty trace, so specs that need it
+// (ideal-static, profiled-gshare, hybrids of them) parse in full; each
+// gets its real context per trace.
 // logf, if non-nil, receives progress lines (trace generation and oracle
 // passes are the slow steps); the suite serializes calls to it, so the
 // callback itself need not be safe for concurrent use.
 func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error) {
 	cfg = cfg.withDefaults()
+	// The statistics of an empty trace, written out so that the check
+	// packs no trace unless a spec reads one.
+	env := bp.Env{
+		Stats: &trace.Stats{Name: "spec-check", Sites: map[trace.Addr]*trace.SiteStats{}},
+		Trace: trace.New("spec-check", 0),
+	}
 	for _, spec := range cfg.ExtraSpecs {
-		var pe *bp.ParseError
-		if _, err := bp.Parse(spec, bp.Env{}); err != nil &&
-			!(errors.As(err, &pe) && pe.Kind == bp.ErrMissingContext) {
+		if _, err := bp.Parse(spec, env); err != nil {
 			return nil, err
 		}
 	}
@@ -221,9 +234,9 @@ func NewSuite(cfg Config, logf func(format string, args ...any)) (*Suite, error)
 			inner(format, args...)
 		}
 	}
-	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf}
-	s.oracleBuild = func(tr *trace.Trace, ocfg core.OracleConfig) *core.Selections {
-		return core.Oracle(tr, core.OracleOptions{OracleConfig: ocfg})
+	s := &Suite{cfg: cfg, obs: obs.Or(cfg.Obs), log: logf, oracleWindows: []int{oracleWindow}}
+	s.oracleGrid = func(tr *trace.Trace, windows []int, ocfg core.OracleConfig) []*core.Selections {
+		return core.OracleGrid(tr, windows, core.OracleOptions{OracleConfig: ocfg})
 	}
 	s.simRun = func(tr *trace.Trace, predictors ...bp.Predictor) []*sim.Result {
 		return sim.Simulate(tr, predictors, sim.Options{Observer: cfg.Obs}).Results
@@ -278,22 +291,31 @@ func newGshare() bp.Predictor   { return bp.NewGshare(gshareBits) }
 func newIFGshare() bp.Predictor { return bp.NewIFGshare(gshareBits) }
 func newPAs() bp.Predictor      { return bp.NewPAs(pasHistBits, pasBHTBits, pasPHTBits) }
 
-// oracleConfig is the oracle configuration at window n.
-func (s *Suite) oracleConfig(n int) core.OracleConfig {
-	return core.OracleConfig{WindowLen: n, Obs: s.cfg.Obs}
+// gridWindows returns the oracle window list of a report: the default
+// window, plus every Figure 5 window when withFig5 is set.
+func (s *Suite) gridWindows(withFig5 bool) []int {
+	windows := []int{oracleWindow}
+	if withFig5 {
+		windows = append(windows, s.cfg.Fig5Windows...)
+	}
+	slices.Sort(windows)
+	return slices.Compact(windows)
 }
 
 // selsFor computes (once) the oracle's selective-history ref choices for
-// a trace at the configured window. The per-branch bundle (globalFor)
-// and Figure 5's default window both start here, so a report that needs
-// both pays for one oracle pass.
-func (s *Suite) selsFor(tr *trace.Trace) *core.Selections {
+// a trace at every window of s.oracleWindows, in one grid build, and
+// returns a lookup by window length (which must be in the list). The
+// per-branch bundle (globalFor) and every Figure 5 window read the same
+// memoized grid, so a report pays for one oracle build per trace.
+func (s *Suite) selsFor(tr *trace.Trace) func(n int) *core.Selections {
+	windows := s.oracleWindows
 	s.obs.Counter("suite.memo.sels.calls").Inc()
-	return s.sels.get(tr.Name(), func() *core.Selections {
+	grid := s.sels.get(fmt.Sprint(tr.Name(), windows), func() []*core.Selections {
 		s.obs.Counter("suite.memo.sels.misses").Inc()
-		s.log("%s: oracle selection (window %d)", tr.Name(), oracleWindow)
-		return s.oracleBuild(tr, s.oracleConfig(oracleWindow))
+		s.log("%s: oracle selection (windows %v)", tr.Name(), windows)
+		return s.oracleGrid(tr, windows, core.OracleConfig{Obs: s.cfg.Obs})
 	})
+	return func(n int) *core.Selections { return grid[slices.Index(windows, n)] }
 }
 
 // globalFor computes (once) the selective/IF-gshare/gshare results for a
@@ -303,7 +325,7 @@ func (s *Suite) globalFor(tr *trace.Trace) *globalBundle {
 	s.obs.Counter("suite.memo.global.calls").Inc()
 	return s.global.get(tr.Name(), func() *globalBundle {
 		s.obs.Counter("suite.memo.global.misses").Inc()
-		sels := s.selsFor(tr)
+		sels := s.selsFor(tr)(oracleWindow)
 		selective := []bp.Predictor{
 			core.NewSelective(fmt.Sprintf("IF 1-branch selective(%d)", oracleWindow), oracleWindow, sels.BySize[1]),
 			core.NewSelective(fmt.Sprintf("IF 2-branch selective(%d)", oracleWindow), oracleWindow, sels.BySize[2]),

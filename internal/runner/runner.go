@@ -15,6 +15,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -130,8 +131,11 @@ func Chain(observers ...Observer) Observer {
 // The first cell error cancels the pool's context: cells not yet
 // started are skipped, and the error of the earliest cell (in slice
 // order) that actually ran and failed is returned, wrapped with the
-// cell's identity. If the parent context is cancelled externally, Run
-// returns its error after the in-flight cells drain.
+// cell's identity. A cell that failed with context.Canceled most likely
+// only saw the pool's cancellation, so the earliest other error wins
+// over it; the earliest error is the fallback. If the parent context is
+// cancelled externally, Run returns its error after the in-flight cells
+// drain.
 func Run(ctx context.Context, cells []Cell, opts Options) error {
 	workers := opts.Parallel
 	if workers <= 0 {
@@ -181,10 +185,20 @@ func Run(ctx context.Context, cells []Cell, opts Options) error {
 	}
 	wg.Wait()
 
+	var first error
 	for _, err := range errs {
-		if err != nil {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
 			return err
 		}
+		if first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return first
 	}
 	return ctx.Err()
 }

@@ -91,6 +91,32 @@ func TestRunFirstErrorWins(t *testing.T) {
 	}
 }
 
+func TestRunReportsCauseNotCancellation(t *testing.T) {
+	// Cell 0 blocks until the pool is cancelled and returns the
+	// cancellation; cell 1's failure caused it, so cell 1's error must be
+	// reported although cell 0 comes first in slice order.
+	boom := errors.New("boom")
+	started := make(chan struct{})
+	cells := []Cell{
+		{Exhibit: "a", Workload: "w", Run: func(ctx context.Context) error {
+			close(started)
+			<-ctx.Done()
+			return ctx.Err()
+		}},
+		{Exhibit: "b", Workload: "x", Run: func(context.Context) error {
+			<-started
+			return boom
+		}},
+	}
+	err := Run(context.Background(), cells, Options{Parallel: 2})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped boom", err)
+	}
+	if !strings.Contains(err.Error(), "b/x") {
+		t.Fatalf("err %q lacks the failing cell's identity", err)
+	}
+}
+
 func TestRunErrorCancelsPool(t *testing.T) {
 	// After a failure, unstarted cells must be skipped (sequentially the
 	// failure at cell 0 means no later cell runs).
